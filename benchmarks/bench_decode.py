@@ -1,7 +1,7 @@
 """Decode-free fast-path benchmark: decoded vs lazy vs structure-only.
 
-One generated database in a SQLite engine with the link index on, and
-the same set of BFS frontier expansions walked three ways:
+One generated database in a SQLite engine, and the same set of BFS
+frontier expansions walked three ways:
 
 * **decoded** — every frontier fetched with :meth:`read_many` and fully
   decoded (refs *and* back_refs materialized), the pre-fast-path cost;
@@ -9,8 +9,8 @@ the same set of BFS frontier expansions walked three ways:
   whose headers parse eagerly but whose reference vectors unpack only
   when the walk touches ``.refs`` (back_refs never);
 * **structure** — no record fetch at all:
-  :meth:`traverse_refs_many` answers each frontier from the ``refs``
-  link index alone.
+  :meth:`traverse_refs_many` answers each frontier from the blobs'
+  reference vectors alone.
 
 All three modes expand identical frontiers from identical roots (the
 equivalence is asserted), so the wall-clock ratio is a pure decode-cost
@@ -110,7 +110,7 @@ def env(tmp_path_factory):
     database, _ = generate_database(
         default_database_parameters(scale=DB_SCALE, seed=SEED))
     path = str(tmp_path_factory.mktemp("decode") / "bench.db")
-    backend = SQLiteBackend(path=path, ref_index=True)
+    backend = SQLiteBackend(path=path)
     database.load_into(backend)
     roots = _roots(database)
     # One untimed warmup so every mode sees the same hot page cache.
@@ -230,7 +230,7 @@ def test_document_round_trips_and_persists(cells):
         cells=cells,
         config={"db_scale": DB_SCALE, "seed": SEED, "walks": WALKS,
                 "depth": DEPTH, "max_visits": MAX_VISITS,
-                "backend": "sqlite", "ref_index": True},
+                "backend": "sqlite"},
         name="bench_decode")
     term_print(json.dumps(document, indent=2))
     assert results.validate_document(document) is document

@@ -17,8 +17,7 @@ width.  The database is generated with ``MAXNREF = 0`` so every update
 is a pure home-lane write — the configuration that isolates the WAL
 write path itself from cross-shard graph maintenance (which the
 ``remote_writes`` counter prices separately, see the Sharding section
-of the README) — and both engines run with ``ref_index`` pinned off so
-the A/B compares write paths, not link-index maintenance.
+of the README).
 
 Runs as a plain pytest module (no pytest-benchmark required)::
 
@@ -102,8 +101,7 @@ def run_shard_cell(database, backend: str, workers: int) -> dict:
     """One (backend, workers) cell of the shard sweep, as a flat dict."""
     scenario = Scenario(
         mix=SHARD_MIX, clients=workers, cold_ops=SHARD_COLD_OPS,
-        warm_ops=SHARD_WARM_OPS, backend=backend, seed=SEED,
-        backend_options={"ref_index": False})
+        warm_ops=SHARD_WARM_OPS, backend=backend, seed=SEED)
     sharded = backend == "sharded-sqlite"
     config = ParallelConfig(busy_timeout_ms=5000,
                             shards=workers if sharded else None)
@@ -149,7 +147,7 @@ def shard_scaling_document(cells) -> dict:
         config={"db_scale": DB_SCALE, "seed": SEED, "max_nref": 0,
                 "mix": SHARD_MIX.name, "workers": list(SHARD_WORKERS),
                 "cold_ops": SHARD_COLD_OPS, "warm_ops": SHARD_WARM_OPS,
-                "ref_index": False, "shards": "workers"},
+                "shards": "workers"},
         name="bench_parallel_shards")
 
 

@@ -34,10 +34,7 @@ Three kernel hooks make the engine first-class under the unified
   :meth:`SQLiteBackend.traverse_refs_many` answers a whole BFS
   frontier's outgoing references with one ``IN``-clause query and a
   structure-only decode (:func:`~repro.store.serializer.decode_refs`:
-  header + reference vector, **no record decode**); constructed with
-  ``ref_index=True`` the engine additionally maintains a ``links`` side
-  table (src, idx, dst) — at the classic secondary-index price of extra
-  (counted) statements on every mutation;
+  header + reference vector, **no record decode**);
 * **concurrent connections** — :meth:`SQLiteBackend.connect_worker`
   opens an independent connection to the same database file (its own
   pager cache, its own locks), which is how each process of a
@@ -102,8 +99,7 @@ class SQLiteBackend(Backend):
                  cache_pages: int = 128,
                  synchronous: str = "OFF",
                  journal_mode: str = "MEMORY",
-                 busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS,
-                 ref_index: bool = False) -> None:
+                 busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS) -> None:
         super().__init__()
         if page_size not in _VALID_PAGE_SIZES:
             raise BackendError(
@@ -120,12 +116,6 @@ class SQLiteBackend(Backend):
         self.synchronous = synchronous
         self.journal_mode = journal_mode
         self.busy_timeout_ms = busy_timeout_ms
-        #: Opt-in secondary link index (``links`` table): answers
-        #: :meth:`traverse_refs_many` for a whole BFS frontier with one
-        #: ``IN``-clause query, no blob decode — at the usual secondary-
-        #: index price of extra statements on every mutation.
-        self.ref_index = bool(ref_index)
-        self.supports_ref_index = self.ref_index
         self.sql_round_trips = 0
         self.busy_retries = 0
         self.busy_wait_seconds = 0.0
@@ -156,44 +146,7 @@ class SQLiteBackend(Backend):
         self._retrying(
             cur.execute,
             "CREATE INDEX IF NOT EXISTS objects_by_class ON objects (cid)")
-        if self.ref_index:
-            self._retrying(
-                cur.execute,
-                "CREATE TABLE IF NOT EXISTS links ("
-                " src INTEGER NOT NULL,"
-                " idx INTEGER NOT NULL,"
-                " dst INTEGER NOT NULL,"
-                " PRIMARY KEY (src, idx)) WITHOUT ROWID")
         conn.commit()
-        return conn
-
-    def _open_read_connection(self) -> sqlite3.Connection:
-        """A dedicated read-only-use connection for pooled fetches.
-
-        Pool connections are handed to one executor thread at a time but
-        to *different* threads across acquires, so the sqlite3 default
-        thread pin is lifted (``check_same_thread=False``); exclusive
-        hand-out by :class:`~repro.backends.pool.ConnectionPool` is what
-        keeps that safe.  Unlike the main connection, the busy budget is
-        spent SQLite-side here — pool reads never mutate, so there are
-        no retries worth counting, and blocking in C releases the GIL.
-        Only file databases can be pooled: a second connection to
-        ``:memory:`` would see a different (empty) database.
-        """
-        if self.path == ":memory:":
-            raise BackendError(
-                "a ':memory:' SQLite database cannot serve pooled read "
-                "connections; use a file path for concurrent reads")
-        try:
-            conn = sqlite3.connect(self.path, check_same_thread=False)
-        except sqlite3.Error as exc:
-            raise BackendError(
-                f"cannot open pooled read connection to "
-                f"{self.path!r}: {exc}") from exc
-        cur = conn.cursor()
-        cur.execute(f"PRAGMA cache_size = {self.cache_pages}")
-        cur.execute(f"PRAGMA busy_timeout = {self.busy_timeout_ms}")
-        cur.execute("PRAGMA query_only = 1")
         return conn
 
     # -- busy-retry accounting ------------------------------------------ #
@@ -273,13 +226,6 @@ class SQLiteBackend(Backend):
             self._conn.executemany(
                 "INSERT INTO objects (oid, cid, data) VALUES (?, ?, ?)",
                 ((r.oid, r.cid, encode_object(r)) for r in sequence))
-            if self.ref_index:
-                self._conn.executemany(
-                    "INSERT INTO links (src, idx, dst) VALUES (?, ?, ?)",
-                    ((record.oid, index, target)
-                     for record in sequence
-                     for index, target in enumerate(record.refs)
-                     if target is not None))
         except BaseException:
             self._conn.rollback()
             raise
@@ -339,7 +285,6 @@ class SQLiteBackend(Backend):
             (record.cid, encode_object(record), record.oid))
         if cur.rowcount == 0:
             raise UnknownObject(record.oid)
-        self._reindex_links([record])
         self.object_accesses += 1
 
     def write_many(self, records: Sequence[StoredObject]) -> None:
@@ -355,12 +300,7 @@ class SQLiteBackend(Backend):
             missing = next((r.oid for r in records if r.oid not in self),
                            None)
             if missing is not None:
-                # The rows before the miss were still updated; reindex
-                # them so the link table never diverges from the blobs.
-                self._reindex_links([r for r in records
-                                     if r.oid in self])
                 raise UnknownObject(missing)
-        self._reindex_links(records)
         self.object_accesses += len(records)
         if trace.enabled:
             trace.emit("sqlite.write_many",
@@ -374,15 +314,6 @@ class SQLiteBackend(Backend):
                 (record.oid, record.cid, encode_object(record)))
         except sqlite3.IntegrityError:
             raise StorageError(f"oid {record.oid} already exists") from None
-        if self.ref_index:
-            rows = [(record.oid, index, target)
-                    for index, target in enumerate(record.refs)
-                    if target is not None]
-            if rows:
-                self.sql_round_trips += 1
-                self._executemany(
-                    "INSERT INTO links (src, idx, dst) VALUES (?, ?, ?)",
-                    rows)
         self.object_accesses += 1
 
     def delete_object(self, oid: int) -> None:
@@ -390,27 +321,7 @@ class SQLiteBackend(Backend):
         cur = self._execute("DELETE FROM objects WHERE oid = ?", (oid,))
         if cur.rowcount == 0:
             raise UnknownObject(oid)
-        if self.ref_index:
-            self.sql_round_trips += 1
-            self._execute("DELETE FROM links WHERE src = ?", (oid,))
         self.object_accesses += 1
-
-    def _reindex_links(self, records: Sequence[StoredObject]) -> None:
-        """Replace the link rows of rewritten records (no-op unless the
-        engine was built with ``ref_index=True``)."""
-        if not self.ref_index or not records:
-            return
-        self.sql_round_trips += 1
-        self._executemany("DELETE FROM links WHERE src = ?",
-                          [(record.oid,) for record in records])
-        rows = [(record.oid, index, target)
-                for record in records
-                for index, target in enumerate(record.refs)
-                if target is not None]
-        if rows:
-            self.sql_round_trips += 1
-            self._executemany(
-                "INSERT INTO links (src, idx, dst) VALUES (?, ?, ?)", rows)
 
     def traverse_refs_many(self, oids: Sequence[int]
                            ) -> Dict[int, Tuple[int, ...]]:
@@ -420,16 +331,8 @@ class SQLiteBackend(Backend):
         :func:`~repro.store.serializer.decode_refs` — header plus one
         bulk unpack of the reference vector, no :class:`StoredObject`,
         no back-ref/payload decode.  A missing oid raises exactly like
-        the loop fallback.
-
-        This deliberately reads the blob *instead of* the ``links``
-        index: profiling showed the one-row-per-edge ``LEFT JOIN``
-        spends ~3x the wall time of this path in the driver's per-row
-        overhead, while ``decode_refs`` touches only the first
-        ``22 + 8*nref`` bytes of each blob.  The narrow ``links`` rows
-        remain a maintained physical index (and stay pinned by the
-        protocol tests) for engines and experiments that cannot afford
-        blob I/O at all.
+        the loop fallback.  ``decode_refs`` touches only the first
+        ``22 + 8*nref`` bytes of each blob.
         """
         started = time.perf_counter() if trace.enabled else 0.0
         unique: List[int] = list(dict.fromkeys(oids))
@@ -497,8 +400,7 @@ class SQLiteBackend(Backend):
                              cache_pages=self.cache_pages,
                              synchronous=self.synchronous,
                              journal_mode=self.journal_mode,
-                             busy_timeout_ms=self.busy_timeout_ms,
-                             ref_index=self.ref_index)
+                             busy_timeout_ms=self.busy_timeout_ms)
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -507,7 +409,6 @@ class SQLiteBackend(Backend):
             "cache_pages": self.cache_pages,
             "journal_mode": self._pragma_str("journal_mode"),
             "busy_timeout_ms": self.busy_timeout_ms,
-            "ref_index": self.ref_index,
             "pages": self._pragma_int("page_count"),
             "freelist_pages": self._pragma_int("freelist_count"),
             "objects": self.object_count,

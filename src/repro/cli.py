@@ -219,20 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="serve reads as zero-copy lazy records "
                                "(identical logical results, no record "
                                "decode on access)")
-    scenario.add_argument("--pipeline", action="store_true",
-                          help="pipelined BFS: keep the next frontier "
-                               "chunk's read in flight while the current "
-                               "chunk is filtered (engines with the "
-                               "'pipelined' capability)")
-    scenario.add_argument("--pool-size", type=int, default=None,
-                          metavar="N",
-                          help="read-connection pool width for "
-                               "pipelined-sqlite / sharded-sqlite "
-                               "(default: 2)")
-    scenario.add_argument("--concurrent-fanout", action="store_true",
-                          help="sharded-sqlite only: execute multi-shard "
-                               "read batches concurrently, one pooled "
-                               "connection per touched shard")
     scenario.add_argument("--json", action="store_true",
                           help="emit one machine-readable JSON document "
                                "instead of the tables")
@@ -505,7 +491,7 @@ def _cmd_generate(args: argparse.Namespace) -> str:
 
 def _backend_options(args: argparse.Namespace) -> dict:
     backend = getattr(args, "backend", None)
-    if backend in ("sqlite", "pipelined-sqlite"):
+    if backend == "sqlite":
         return {"path": args.sqlite_path}
     if backend == "sharded-sqlite":
         # ``--sqlite-path`` names the shard *directory* here; the
@@ -660,20 +646,13 @@ def _cmd_scenario(args: argparse.Namespace) -> str:
         overrides["seed"] = args.seed
     if args.lazy:
         overrides["lazy"] = True
-    if args.pipeline:
-        overrides["pipeline"] = True
     if overrides:
         scenario = replace(scenario, **overrides)
-    if scenario.backend in ("sqlite", "sharded-sqlite", "pipelined-sqlite"):
+    if scenario.backend in ("sqlite", "sharded-sqlite"):
         options = dict(scenario.backend_options)
         options.setdefault("path", args.sqlite_path)
         if scenario.backend == "sharded-sqlite" and args.shards is not None:
             options.setdefault("shards", args.shards)
-        if scenario.backend == "sharded-sqlite" and args.concurrent_fanout:
-            options.setdefault("concurrent_fanout", True)
-        if scenario.backend in ("sharded-sqlite", "pipelined-sqlite") \
-                and args.pool_size is not None:
-            options.setdefault("pool_size", args.pool_size)
         options = _shared_sqlite_options(
             options, args.journal_mode, args.busy_timeout,
             for_processes=args.processes is not None)
@@ -746,8 +725,7 @@ def _shared_sqlite_options(options: dict, journal_mode: str,
 def _parallel_options(args: argparse.Namespace) -> dict:
     """Backend options for a process run, through the one shared policy."""
     options = _backend_options(args)
-    if getattr(args, "backend", None) in ("sqlite", "sharded-sqlite",
-                                          "pipelined-sqlite"):
+    if getattr(args, "backend", None) in ("sqlite", "sharded-sqlite"):
         return _shared_sqlite_options(options, args.journal_mode,
                                       args.busy_timeout,
                                       for_processes=True)
@@ -767,7 +745,7 @@ def _cmd_multiuser(args: argparse.Namespace) -> str:
     wl_params = replace(wl_params, clients=args.clients)
     database, _report = generate_database(db_params)
     options = _backend_options(args)
-    if args.backend in ("sqlite", "sharded-sqlite", "pipelined-sqlite"):
+    if args.backend in ("sqlite", "sharded-sqlite"):
         # The journal/busy/synchronous knobs apply on the in-process
         # path too, so the two execution modes benchmark the same
         # engine settings.
@@ -990,8 +968,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             overrides["seed"] = args.seed
         if overrides:
             scenario = replace(scenario, **overrides)
-        if scenario.backend in ("sqlite", "sharded-sqlite",
-                                "pipelined-sqlite"):
+        if scenario.backend in ("sqlite", "sharded-sqlite"):
             options = dict(scenario.backend_options)
             options.setdefault("path", args.sqlite_path)
             options = _shared_sqlite_options(

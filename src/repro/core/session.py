@@ -46,7 +46,7 @@ from typing import (
     Union,
 )
 
-from repro.backends.base import Backend, ReadHandle
+from repro.backends.base import Backend
 from repro.clustering.base import ClusteringPolicy, NoClustering
 from repro.core.database import OCBDatabase
 from repro.errors import WorkloadError
@@ -58,14 +58,6 @@ __all__ = ["Measurement", "Session"]
 
 #: Anything a Session can drive.
 StoreLike = Union[ObjectStore, Backend]
-
-#: Pipelined-BFS frontier chunk: while one chunk's references are being
-#: filtered on the caller's thread, the next chunk's read is already in
-#: flight on the engine's pool.  Sized so a default-depth OCB frontier
-#: splits into a handful of overlapping reads without shrinking the
-#: IN-clause batches below usefulness.
-_PIPELINE_CHUNK = 128
-
 
 class Measurement:
     """One measured span: engine-counter delta plus wall-clock seconds.
@@ -114,8 +106,7 @@ class Session:
                  tref_table: Optional[Mapping[int, Tuple[int, ...]]] = None,
                  catalog: Optional[Mapping[int, int]] = None,
                  batch: Optional[bool] = None,
-                 lazy: bool = False,
-                 pipeline: bool = False) -> None:
+                 lazy: bool = False) -> None:
         self.store = store
         self.policy = policy or NoClustering()
         self._tref_table = dict(tref_table or {})
@@ -131,15 +122,6 @@ class Session:
         #: byte-identical; engines without a byte representation simply
         #: ignore the flag.
         self.lazy = bool(lazy)
-        #: Pipelined BFS: during frontier traversal the next chunk's read
-        #: is submitted (engine submit/collect hooks) while the current
-        #: chunk's references are filtered on this thread.  Requested via
-        #: the flag but only *effective* on engines that declare
-        #: ``supports_async_reads`` — everywhere else the session keeps
-        #: the exact sequential call sequence, so the off/ineffective
-        #: path executes none of the pool machinery.
-        self.pipeline = bool(pipeline) and \
-            bool(getattr(store, "supports_async_reads", False))
         self._prefetched: Dict[int, StoredObject] = {}
 
     # ------------------------------------------------------------------ #
@@ -154,8 +136,7 @@ class Session:
                      batch: Optional[bool] = None,
                      backend_options: Optional[dict] = None,
                      load: bool = True,
-                     lazy: bool = False,
-                     pipeline: bool = False) -> "Session":
+                     lazy: bool = False) -> "Session":
         """Build a Session over *store* for a generated *database*.
 
         *store* may be a loaded :class:`ObjectStore`/:class:`Backend`
@@ -185,8 +166,7 @@ class Session:
             store.reset_stats()
         return cls(store, policy=policy,
                    tref_table=database.tref_table(),
-                   catalog=database.catalog(), batch=batch, lazy=lazy,
-                   pipeline=pipeline)
+                   catalog=database.catalog(), batch=batch, lazy=lazy)
 
     # ------------------------------------------------------------------ #
     # Catalog lookups (no I/O)
@@ -210,7 +190,7 @@ class Session:
     # ------------------------------------------------------------------ #
 
     def access(self, oid: int, source: Optional[StoredObject] = None,
-               ref_index: Optional[int] = None,
+               ref_slot: Optional[int] = None,
                via_back_ref: bool = False) -> StoredObject:
         """Read one object, charging I/O and notifying the policy.
 
@@ -227,12 +207,12 @@ class Session:
         if record is None:
             record = self._read_object(oid)
         source_oid = source.oid if source is not None else None
-        if source is not None and ref_index is not None:
+        if source is not None and ref_slot is not None:
             if via_back_ref:
                 # The crossed slot belongs to the *target* object's class.
-                ref_type = self.ref_type_of(record.cid, ref_index)
+                ref_type = self.ref_type_of(record.cid, ref_slot)
             else:
-                ref_type = self.ref_type_of(source.cid, ref_index)
+                ref_type = self.ref_type_of(source.cid, ref_slot)
         else:
             ref_type = None
         self.policy.observe_access(source_oid, oid, ref_type)
@@ -297,10 +277,10 @@ class Session:
                            ) -> Dict[int, Tuple[int, ...]]:
         """A batch of objects' outgoing references, keyed by oid.
 
-        Structure-only frontier expansion: engines with a link index
-        (SQLite built with ``ref_index=True``) answer the whole batch in
-        one set-oriented round trip without decoding records; everywhere
-        else the backend's loop fallback runs.  No policy observations
+        Structure-only frontier expansion: SQLite engines answer the
+        whole batch in one set-oriented round trip that decodes only each
+        blob's reference vector; everywhere else the backend's loop
+        fallback runs.  No policy observations
         are made — callers that *visit* the targets still go through
         :meth:`access`.
         """
@@ -313,42 +293,6 @@ class Session:
             if oid not in refs:
                 refs[oid] = self.store.read_object(oid).non_null_refs()
         return refs
-
-    def iter_frontier_refs(self, frontier: Sequence[int]
-                           ) -> "Iterable[Dict[int, Tuple[int, ...]]]":
-        """Yield a BFS frontier's reference answers, pipelined when on.
-
-        The sequential path (``pipeline`` off, or an engine without the
-        submit/collect hooks' async support) yields the whole frontier's
-        answers in one :meth:`traverse_refs_many` call — the exact
-        pre-pipeline call sequence, touching none of the pool machinery.
-
-        The pipelined path splits the frontier into chunks and keeps
-        exactly one chunk's read in flight ahead of the consumer: chunk
-        *i+1* is submitted through the engine's
-        ``submit_traverse_refs_many`` *before* chunk *i*'s answers are
-        yielded, so the caller's filtering of chunk *i* (visited-set
-        updates, membership checks) overlaps the engine-side execution
-        of chunk *i+1*.  Chunks are contiguous runs of the frontier
-        order, so consuming the yielded answers in order visits every
-        (oid, targets) pair in exactly the sequential order — traversal
-        results are byte-identical across modes.
-        """
-        frontier = list(frontier)
-        submit = getattr(self.store, "submit_traverse_refs_many", None)
-        if not self.pipeline or submit is None \
-                or len(frontier) <= _PIPELINE_CHUNK:
-            yield self.traverse_refs_many(frontier)
-            return
-        chunks = [frontier[start:start + _PIPELINE_CHUNK]
-                  for start in range(0, len(frontier), _PIPELINE_CHUNK)]
-        handle: "ReadHandle" = submit(chunks[0])
-        for index in range(len(chunks)):
-            ahead = submit(chunks[index + 1]) \
-                if index + 1 < len(chunks) else None
-            yield handle.result()
-            if ahead is not None:
-                handle = ahead
 
     def end_transaction(self) -> None:
         """Close one transaction: notify the policy, drop the prefetch

@@ -210,7 +210,7 @@ def _breadth_first(ctx: Session, spec: TransactionSpec,
         for record, depth, target, index, via_back in edges:
             if spec.dedupe and target in seen:
                 continue
-            child = ctx.access(target, source=record, ref_index=index,
+            child = ctx.access(target, source=record, ref_slot=index,
                                via_back_ref=via_back)
             if not tracker.note(target, depth + 1):
                 return
@@ -237,7 +237,7 @@ def _depth_first(ctx: Session, spec: TransactionSpec,
                                                    type_filter):
             if spec.dedupe and target in seen:
                 continue
-            child = ctx.access(target, source=record, ref_index=index,
+            child = ctx.access(target, source=record, ref_slot=index,
                                via_back_ref=via_back)
             if not tracker.note(target, depth + 1):
                 return False
@@ -274,7 +274,7 @@ def _stochastic(ctx: Session, spec: TransactionSpec,
         if chosen is None:
             return  # Absorbing state: residual probability mass.
         target, index, via_back = chosen
-        record = ctx.access(target, source=record, ref_index=index,
+        record = ctx.access(target, source=record, ref_slot=index,
                             via_back_ref=via_back)
         if not tracker.note(target, step):
             return

@@ -42,7 +42,8 @@ Collection
 (bounded memory, oldest records dropped) and, optionally, a
 :class:`JsonlSink` that appends every record to a file as one JSON
 object per line — the ``--trace FILE`` flag of the CLI.  :func:`summary`
-folds the collector into per-name count/total/mean rows.
+reports per-name count/total/mean rows from running aggregates the
+collector keeps for every record, so evicted records still count.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
+
+from repro.obs.latency import LatencyHistogram
 
 __all__ = [
     "enabled",
@@ -115,7 +118,10 @@ class TraceCollector:
     ``capacity`` bounds memory: the collector keeps the newest records
     and counts what it dropped (``dropped``), so a million-operation run
     with tracing on cannot exhaust memory — the JSONL sink is the
-    unbounded archive, the ring buffer the live window.
+    unbounded archive, the ring buffer the live window.  Alongside the
+    ring, one :class:`~repro.obs.latency.LatencyHistogram` per record
+    name folds every record ever seen (count, total, tail), which is
+    what :func:`summary` reports.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -125,12 +131,17 @@ class TraceCollector:
         self._records: "deque[TraceRecord]" = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self.total = 0
+        self._by_name: Dict[str, LatencyHistogram] = {}
 
     def record(self, record: TraceRecord) -> None:
         """Append one record (oldest evicted beyond capacity)."""
         with self._lock:
             self._records.append(record)
             self.total += 1
+            histogram = self._by_name.get(record.name)
+            if histogram is None:
+                histogram = self._by_name[record.name] = LatencyHistogram()
+            histogram.record(record.wall_seconds)
 
     @property
     def dropped(self) -> int:
@@ -141,6 +152,11 @@ class TraceCollector:
         """A snapshot of the buffered records, oldest first."""
         with self._lock:
             return list(self._records)
+
+    def by_name(self) -> Dict[str, LatencyHistogram]:
+        """Per-name wall-time histograms over every record seen."""
+        with self._lock:
+            return dict(self._by_name)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -203,7 +219,7 @@ def enable(collector: Optional[TraceCollector] = None,
     global enabled, _collector, _sink
     if _sink is not None:
         _sink.close()
-    _collector = collector or TraceCollector()
+    _collector = collector if collector is not None else TraceCollector()
     _sink = JsonlSink(sink_path) if sink_path else None
     enabled = True
     return _collector
@@ -276,23 +292,17 @@ def summary(collector: Optional[TraceCollector] = None
     p999_seconds)`` rows.
 
     Sorted by total wall time, descending — the "where did the time go"
-    decomposition of a traced run.  The P99.9 column folds each name's
-    durations through a bounded log-bucketed histogram (relative error
-    <= 1 %), so a stall that one mean would average away still shows.
+    decomposition of a traced run.  Rows cover every record the
+    collector has seen, not just the ring buffer's window.  The P99.9
+    column comes from each name's bounded log-bucketed histogram
+    (relative error <= 1 %), so a stall that one mean would average away
+    still shows.
     """
-    collector = collector or _collector
+    collector = collector if collector is not None else _collector
     if collector is None:
         return []
-    from repro.obs.latency import LatencyHistogram
-    totals: Dict[str, Tuple[int, float, LatencyHistogram]] = {}
-    for record in collector.records():
-        count, total, histogram = totals.get(
-            record.name, (0, 0.0, LatencyHistogram()))
-        histogram.record(record.wall_seconds)
-        totals[record.name] = (count + 1, total + record.wall_seconds,
-                               histogram)
-    rows = [(name, count, total, total / count if count else 0.0,
+    rows = [(name, histogram.count, histogram.total, histogram.mean,
              histogram.percentile(99.9))
-            for name, (count, total, histogram) in totals.items()]
+            for name, histogram in collector.by_name().items()]
     rows.sort(key=lambda row: row[2], reverse=True)
     return rows

@@ -66,7 +66,6 @@ class ShardLoadTask:
     synchronous: str = "NORMAL"
     journal_mode: str = "WAL"
     busy_timeout_ms: int = 5000
-    ref_index: bool = True
 
 
 def load_shard(task: ShardLoadTask) -> int:
@@ -79,8 +78,7 @@ def load_shard(task: ShardLoadTask) -> int:
                            cache_pages=task.cache_pages,
                            synchronous=task.synchronous,
                            journal_mode=task.journal_mode,
-                           busy_timeout_ms=task.busy_timeout_ms,
-                           ref_index=task.ref_index)
+                           busy_timeout_ms=task.busy_timeout_ms)
     try:
         if engine.object_count == 0:
             engine.bulk_load(task.records)
@@ -106,8 +104,7 @@ class ParallelRunner:
                  backend_options: Optional[Dict[str, object]] = None,
                  batch: Optional[bool] = None,
                  mix: "Optional[object]" = None,
-                 lazy: bool = False,
-                 pipeline: bool = False) -> None:
+                 lazy: bool = False) -> None:
         if not isinstance(backend, str):
             raise WorkloadError(
                 "ParallelRunner needs a registered backend name; live "
@@ -126,11 +123,9 @@ class ParallelRunner:
         #: declarative scenario (possibly mutating) instead of the
         #: classic read-only transaction protocol.
         self.mix = mix
-        #: Decode-free reads / pipelined BFS for every worker's session
-        #: (``Scenario.lazy`` / ``Scenario.pipeline`` threaded across the
-        #: process boundary).
+        #: Decode-free reads for every worker's session (``Scenario.lazy``
+        #: threaded across the process boundary).
         self.lazy = bool(lazy)
-        self.pipeline = bool(pipeline)
         path = self.backend_options.get("path")
         capabilities = _backend_capabilities(self.backend)
         self.shared = ("concurrent" in capabilities and path != ":memory:")
@@ -178,8 +173,7 @@ class ParallelRunner:
                                 home_shard=self._home_shard(client),
                                 rate=rate_share,
                                 arrival_mode=self.config.arrival_mode,
-                                lazy=self.lazy,
-                                pipeline=self.pipeline)
+                                lazy=self.lazy)
                      for client in range(self.parameters.clients)]
             pool = ProcessPool(
                 processes=self.config.max_workers or len(specs),
@@ -295,8 +289,7 @@ class ParallelRunner:
                                cache_pages=engine.cache_pages,
                                synchronous=engine.synchronous,
                                journal_mode=engine.journal_mode,
-                               busy_timeout_ms=engine.busy_timeout_ms,
-                               ref_index=engine.ref_index)
+                               busy_timeout_ms=engine.busy_timeout_ms)
                  for shard in range(engine.shards)]
         pool = ProcessPool(processes=len(tasks),
                            start_method=self.config.start_method,

@@ -119,7 +119,7 @@ class TestLazySession:
     def test_run_processes_carries_lazy_mode(self, small_database):
         """Process runs no longer refuse lazy scenarios: the flag rides
         every WorkerSpec into the worker's session (the fuller coverage
-        lives in ``tests/parallel/test_pipeline_parallel.py``)."""
+        lives in ``tests/parallel/test_parallel_runner.py``)."""
         from repro.parallel.spec import ParallelConfig
 
         scenario = _structure_scenario(lazy=True, clients=2)
@@ -133,7 +133,6 @@ class TestGraphWalkPreset:
     def test_preset_shape(self):
         scenario = scenario_preset("graph_walk")
         assert scenario.backend == "sqlite"
-        assert scenario.backend_options.get("ref_index") is True
         kinds = {entry.kind for entry in scenario.mix.entries}
         assert "structure_traversal" in kinds
         assert not scenario.mix.mutates

@@ -197,9 +197,9 @@ class TestStochasticTraversal:
             seen = []
             original = ctx.access
 
-            def spy(oid, source=None, ref_index=None, via_back_ref=False):
+            def spy(oid, source=None, ref_slot=None, via_back_ref=False):
                 seen.append(oid)
-                return original(oid, source=source, ref_index=ref_index,
+                return original(oid, source=source, ref_slot=ref_slot,
                                 via_back_ref=via_back_ref)
 
             ctx.access = spy  # type: ignore[assignment]

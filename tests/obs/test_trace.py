@@ -67,6 +67,12 @@ class TestEmission:
         trace.emit("after")
         assert collector.records()[-1].depth == 0
 
+    def test_enable_installs_the_given_empty_collector(self):
+        collector = trace.TraceCollector(capacity=8)
+        assert trace.enable(collector) is collector
+        trace.emit("x")
+        assert len(collector) == 1
+
     def test_reenable_replaces_collector(self):
         first = trace.enable()
         second = trace.enable()
@@ -124,6 +130,18 @@ class TestSummary:
         ((_, count, _, _, p999),) = trace.summary(collector)
         assert count == 100
         assert p999 == pytest.approx(0.5, rel=0.02)
+
+    def test_summary_counts_records_evicted_from_the_ring(self):
+        capacity = 16
+        collector = trace.TraceCollector(capacity=capacity)
+        for _ in range(capacity + 100):
+            collector.record(trace.TraceRecord(
+                name="op", wall_seconds=0.001, depth=0, timestamp=0.0))
+        assert len(collector) == capacity
+        ((name, count, total, _, _),) = trace.summary(collector)
+        assert name == "op"
+        assert count == capacity + 100
+        assert total == pytest.approx(0.001 * (capacity + 100))
 
     def test_summary_without_collector_is_empty(self):
         assert trace.summary() == []

@@ -295,3 +295,59 @@ class TestParallelReport:
         assert report.busy_retries == \
             sum(worker.busy_retries for worker in report.workers)
         assert report.busy_wait_seconds >= 0.0
+
+
+def _worker_result(client_id, stats):
+    from repro.parallel.spec import WorkerResult
+    return WorkerResult(client_id=client_id, pid=1000 + client_id,
+                        report=None, wall_seconds=0.1, setup_seconds=0.01,
+                        backend_stats=stats)
+
+
+def test_parallel_report_sums_decodes_avoided():
+    from repro.parallel.report import ParallelReport
+    report = ParallelReport(workers=[
+        _worker_result(0, {"decodes_avoided": 30}),
+        _worker_result(1, {"decodes_avoided": 12}),
+        _worker_result(2, {}),  # an engine that never avoids a decode
+    ])
+    assert report.decodes_avoided == 42
+
+
+def test_parallel_report_counters_default_to_zero():
+    from repro.parallel.report import ParallelReport
+    report = ParallelReport(workers=[])
+    assert report.decodes_avoided == 0
+
+
+def test_worker_spec_carries_the_lazy_flag():
+    from repro.parallel.spec import WorkerSpec
+    spec = WorkerSpec(client_id=0, database=None, parameters=None,
+                      backend="sqlite")
+    assert spec.lazy is False
+    spec = WorkerSpec(client_id=0, database=None, parameters=None,
+                      backend="sqlite", lazy=True)
+    assert spec.lazy is True
+
+
+def test_run_processes_accepts_lazy_scenarios(tmp_path):
+    """Lazy mode rides the WorkerSpec across the process boundary and
+    the merged report carries the avoided decodes."""
+    from repro.core.presets import default_database_parameters
+    from repro.core.scenario import MixEntry, Scenario, ScenarioRunner, \
+        WorkloadMix
+
+    database, _ = generate_database(
+        default_database_parameters(scale=0.02, seed=11))
+    scenario = Scenario(
+        mix=WorkloadMix(name="walk", entries=(
+            MixEntry("structure_traversal", weight=1.0, depth=4),)),
+        clients=2, cold_ops=1, warm_ops=6, seed=11, backend="sqlite",
+        backend_options={"path": str(tmp_path / "walk.db")}, lazy=True)
+    # Sequential fallback: same specs and worker code path, no fork —
+    # deterministic in CI while still exercising the spec plumbing.
+    report = ScenarioRunner(database, scenario).run_processes(
+        config=ParallelConfig(parallel=False))
+    assert report.decodes_avoided > 0
+    assert report.records_decoded == 0
+    assert report.total_operations == 2 * 7

@@ -52,7 +52,6 @@ def run_sharded(shards):
         WorkloadParameters(cold_n=COLD_OPS, hot_n=WARM_OPS,
                            clients=CLIENTS, seed=1998),
         config=ParallelConfig(busy_timeout_ms=10000, shards=shards),
-        backend_options={"ref_index": False},
         mix=UPDATE_ONLY)
     assert runner.shard_count == shards
     return runner.run()
