@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.errors import ParameterError, StorageError
 from repro.store.disk import SimulatedDisk
@@ -98,6 +98,8 @@ class BufferPool:
         self.stats = BufferStats()
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()
         self._on_evict = on_evict
+        # CLOCK only: page ids by fixed frame slot, and the hand's slot.
+        self._clock_ring: List[int] = []
         self._clock_hand = 0
 
     # ------------------------------------------------------------------ #
@@ -124,7 +126,7 @@ class BufferPool:
         if len(self._frames) >= self.capacity:
             self._evict_one()
         data = self.disk.read_page(page_id)
-        self._frames[page_id] = Frame(page_id, data, dirty=dirty)
+        self._admit(Frame(page_id, data, dirty=dirty))
         return False
 
     def get_data(self, page_id: int) -> bytes:
@@ -181,7 +183,7 @@ class BufferPool:
                 f"page data must be {self.disk.page_size} bytes, got {len(data)}")
         if len(self._frames) >= self.capacity:
             self._evict_one()
-        self._frames[page_id] = Frame(page_id, bytes(data), dirty=dirty)
+        self._admit(Frame(page_id, bytes(data), dirty=dirty))
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -203,6 +205,7 @@ class BufferPool:
             self.flush()
         evicted = list(self._frames)
         self._frames.clear()
+        self._clock_ring.clear()
         self._clock_hand = 0
         if self._on_evict is not None:
             for page_id in evicted:
@@ -244,21 +247,32 @@ class BufferPool:
         if self._on_evict is not None:
             self._on_evict(victim_id)
 
+    def _admit(self, frame: Frame) -> None:
+        """Make *frame* resident; a victim must already have been evicted."""
+        self._frames[frame.page_id] = frame
+        if self.policy is not ReplacementPolicy.CLOCK:
+            return
+        ring = self._clock_ring
+        if len(ring) < self.capacity:
+            ring.append(frame.page_id)  # Filling a free slot.
+        else:
+            # The hand rests on the victim's slot: the new page takes it
+            # and the hand moves one past, so the page is swept last.
+            ring[self._clock_hand] = frame.page_id
+            self._clock_hand = (self._clock_hand + 1) % len(ring)
+
     def _pick_victim(self) -> int:
         if self.policy in (ReplacementPolicy.LRU, ReplacementPolicy.FIFO):
             return next(iter(self._frames))
         if self.policy is ReplacementPolicy.MRU:
             return next(reversed(self._frames))
-        # CLOCK: sweep frames in insertion order, clearing reference bits,
-        # until an unreferenced frame is found.
-        keys = list(self._frames)
-        n = len(keys)
-        for _ in range(2 * n):
-            key = keys[self._clock_hand % n]
-            frame = self._frames[key]
-            self._clock_hand = (self._clock_hand + 1) % n
-            if frame.referenced:
-                frame.referenced = False
-            else:
-                return key
-        return keys[0]  # Every frame referenced twice in a row; fall back.
+        # CLOCK: sweep the fixed ring of slots, clearing reference bits,
+        # until an unreferenced frame is found; one full turn clears every
+        # bit, so the sweep ends within len(ring) + 1 steps.
+        ring = self._clock_ring
+        while True:
+            frame = self._frames[ring[self._clock_hand]]
+            if not frame.referenced:
+                return frame.page_id
+            frame.referenced = False
+            self._clock_hand = (self._clock_hand + 1) % len(ring)

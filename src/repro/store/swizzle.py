@@ -35,7 +35,16 @@ class SwizzleStats:
 
 
 class SwizzleTable:
-    """Tracks which objects currently have in-memory (swizzled) pointers."""
+    """Tracks which objects currently have in-memory (swizzled) pointers.
+
+    An object may span several pages, and it stays swizzled while any of
+    them is resident.  The table therefore keeps, per oid, a count of the
+    resident page buckets that hold it; the invariant is that an oid's
+    count equals the number of buckets in ``_by_page`` containing it, and
+    an oid has an address exactly when its count is positive.  Evicting a
+    page decrements the counts of its objects and unswizzles those that
+    reach zero, in time proportional to the page, not to the pool.
+    """
 
     def __init__(self, cost_model: Optional[CostModel] = None,
                  clock: Optional[SimClock] = None) -> None:
@@ -44,19 +53,24 @@ class SwizzleTable:
         self.stats = SwizzleStats()
         self._addresses: Dict[int, int] = {}
         self._by_page: Dict[int, Set[int]] = {}
+        self._page_counts: Dict[int, int] = {}
         self._next_address = 0x1000_0000  # Synthetic VM base, Texas-style.
 
     def swizzle_in(self, page_id: int, oids: Iterable[int]) -> int:
         """Swizzle the objects of a freshly loaded page; return count."""
         bucket = self._by_page.setdefault(page_id, set())
+        page_counts = self._page_counts
         count = 0
         for oid in oids:
-            if oid in self._addresses:
-                bucket.add(oid)
+            if oid in bucket:
+                continue
+            bucket.add(oid)
+            held = page_counts.get(oid, 0)
+            page_counts[oid] = held + 1
+            if held:
                 continue
             self._addresses[oid] = self._next_address
             self._next_address += 0x10
-            bucket.add(oid)
             count += 1
         if count:
             self.stats.swizzled += count
@@ -68,13 +82,15 @@ class SwizzleTable:
         bucket = self._by_page.pop(page_id, None)
         if not bucket:
             return 0
+        page_counts = self._page_counts
         count = 0
         for oid in bucket:
-            # An object spanning several pages stays swizzled while any of
-            # its pages is resident.
-            if any(oid in other for other in self._by_page.values()):
+            held = page_counts[oid] - 1
+            if held:
+                page_counts[oid] = held
                 continue
-            self._addresses.pop(oid, None)
+            del page_counts[oid]
+            del self._addresses[oid]
             count += 1
         if count:
             self.stats.unswizzled += count
@@ -98,6 +114,7 @@ class SwizzleTable:
         """Forget every mapping (store rebuild)."""
         self._addresses.clear()
         self._by_page.clear()
+        self._page_counts.clear()
 
     def reset_stats(self) -> None:
         """Zero the counters."""

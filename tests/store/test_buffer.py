@@ -123,6 +123,41 @@ class TestClock:
         assert 99 in pool
         assert len(pool) == 3
 
+    def test_hand_does_not_skip_a_frame_after_eviction(self):
+        evicted = []
+        pool, _ = make_pool(capacity=4, policy=ReplacementPolicy.CLOCK,
+                            on_evict=evicted.append)
+        for pid in range(4):
+            pool.access(pid)
+        pool.access(4)      # Full sweep clears every bit; evicts 0.
+        pool.access(5)      # Hand is on 1, now unreferenced.
+        assert evicted == [0, 1]
+
+    def test_newly_loaded_page_swept_last(self):
+        evicted = []
+        pool, _ = make_pool(capacity=3, policy=ReplacementPolicy.CLOCK,
+                            on_evict=evicted.append)
+        for pid in range(3):
+            pool.access(pid)
+        pool.access(3)      # Evicts 0; page 3 takes its slot.
+        pool.access(1)
+        pool.access(2)      # Every frame referenced again.
+        pool.access(4)      # Sweep 1, 2, then 3 last: back to 1.
+        assert evicted == [0, 1]
+
+    def test_clear_resets_the_ring(self):
+        evicted = []
+        pool, _ = make_pool(capacity=2, policy=ReplacementPolicy.CLOCK,
+                            on_evict=evicted.append)
+        for pid in range(3):
+            pool.access(pid)
+        pool.clear()
+        evicted.clear()
+        for pid in (10, 11, 12):
+            pool.access(pid)
+        assert evicted == [10]
+        assert pool.resident_pages() == {11, 12}
+
 
 class TestDirtyWriteback:
     def test_dirty_page_written_on_eviction(self):

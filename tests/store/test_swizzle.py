@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from typing import Dict, Optional, Set
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.store.costs import CostModel, SimClock
-from repro.store.swizzle import SwizzleTable
+from repro.store.swizzle import SwizzleStats, SwizzleTable
 
 
 @pytest.fixture
@@ -80,3 +84,83 @@ class TestAccounting:
         assert table.resident_count == 0
         table.reset_stats()
         assert table.stats.swizzled == 0
+
+
+class ScanSwizzleTable:
+    """Reference model: an evicted page's object stays swizzled while any
+    other resident page holds it, found by scanning every page bucket."""
+
+    def __init__(self, cost_model: CostModel, clock: SimClock) -> None:
+        self.cost_model = cost_model
+        self.clock = clock
+        self.stats = SwizzleStats()
+        self._addresses: Dict[int, int] = {}
+        self._by_page: Dict[int, Set[int]] = {}
+        self._next_address = 0x1000_0000
+
+    def swizzle_in(self, page_id, oids):
+        bucket = self._by_page.setdefault(page_id, set())
+        count = 0
+        for oid in oids:
+            if oid not in self._addresses:
+                self._addresses[oid] = self._next_address
+                self._next_address += 0x10
+                count += 1
+            bucket.add(oid)
+        self.stats.swizzled += count
+        self.clock.advance(count * self.cost_model.swizzle_time)
+        return count
+
+    def unswizzle_page(self, page_id):
+        count = 0
+        for oid in self._by_page.pop(page_id, ()):
+            if any(oid in other for other in self._by_page.values()):
+                continue
+            del self._addresses[oid]
+            count += 1
+        self.stats.unswizzled += count
+        self.clock.advance(count * self.cost_model.swizzle_time)
+        return count
+
+    def address_of(self, oid) -> Optional[int]:
+        return self._addresses.get(oid)
+
+    @property
+    def resident_count(self):
+        return len(self._addresses)
+
+    def clear(self):
+        self._addresses.clear()
+        self._by_page.clear()
+
+    def reset_stats(self):
+        self.stats = SwizzleStats()
+
+
+# Few pages and oids so that pages overlap, repeat and get evicted often.
+swizzle_op = st.one_of(
+    st.tuples(st.just("swizzle_in"), st.integers(0, 5),
+              st.lists(st.integers(0, 11), max_size=6)),
+    st.tuples(st.just("unswizzle_page"), st.integers(0, 7)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("reset_stats")),
+)
+
+
+class TestAgainstScanModel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(swizzle_op, max_size=60))
+    def test_matches_reference_after_every_step(self, ops):
+        cost = CostModel(swizzle_time=0.25)  # Exact in binary floating point.
+        table = SwizzleTable(cost, SimClock())
+        model = ScanSwizzleTable(cost, SimClock())
+        seen = set()
+        for name, *args in ops:
+            if name == "swizzle_in":
+                seen.update(args[1])
+            assert getattr(table, name)(*args) == getattr(model, name)(*args)
+            assert table.stats == model.stats
+            assert table.resident_count == model.resident_count
+            for oid in seen:
+                assert table.address_of(oid) == model.address_of(oid)
+            assert table.clock.now == model.clock.now

@@ -20,6 +20,7 @@ from repro.experiments import (
     run_table4,
     run_table5,
 )
+from repro.store.storage import StoreConfig
 
 
 class TestPaperConstants:
@@ -85,13 +86,28 @@ class TestTable4Shape:
 class TestTable5Shape:
     """Mixed workload: the gain factor drops but stays above 1."""
 
-    def test_gain_smaller_than_table4_but_positive(self):
+    def test_gain_smaller_than_table4_but_positive(self, monkeypatch):
         table4 = run_table4(num_objects=4000, transactions=10,
                             buffer_pages=96, club_depth=4, ocb_depth=4)
+        built = []
+
+        def build(config, _build=StoreConfig.build):
+            built.append(_build(config))
+            return built[-1]
+
+        monkeypatch.setattr(StoreConfig, "build", build)
         table5 = run_table5(num_objects=1500, transactions=20,
                             buffer_pages=64)
         assert table5.gain > 1.0
         assert table5.gain < max(row.gain for row in table4)
+        # Pinned figures: eviction bookkeeping must not move the results.
+        assert table5.ios_before == pytest.approx(286.35)
+        assert table5.ios_after == pytest.approx(201.0)
+        assert table5.clustering_overhead_ios == 348
+        (store,) = built
+        assert store.swizzle.stats.swizzled == 34662
+        assert store.swizzle.stats.unswizzled == 34112
+        assert store.clock.now == pytest.approx(104.030016000061)
 
     def test_render(self):
         row = run_table5(num_objects=1000, transactions=10, buffer_pages=48)
