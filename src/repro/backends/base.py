@@ -91,6 +91,8 @@ class Backend(abc.ABC):
     def __init__(self) -> None:
         self.object_accesses = 0
         #: Records fully decoded from their byte form on a read path.
+        #: Reads return lazy records, so this stays zero: it is reported
+        #: as the proof that the read path is decode-free.
         self.records_decoded = 0
         #: Records (or frontier answers) served *without* a full decode —
         #: lazy header-only reads and structure-only traversal answers.
@@ -112,17 +114,16 @@ class Backend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def read_object(self, oid: int, lazy: bool = False) -> StoredObject:
+    def read_object(self, oid: int) -> StoredObject:
         """Fetch one object; raise :class:`~repro.errors.UnknownObject`
         if *oid* is not stored.
 
-        With ``lazy=True`` an engine that stores encoded records may
-        return a zero-copy
+        An engine that stores encoded records returns a zero-copy
         :class:`~repro.store.serializer.LazyStoredObject` (header parsed,
-        refs/back-refs deferred) and count it under
+        refs/back-refs deferred) and counts it under
         :attr:`decodes_avoided`.  Engines without a byte-level
-        representation ignore the flag — the record they hand back is
-        already the cheapest form they have.
+        representation hand back the record they hold — already the
+        cheapest form they have.
         """
 
     @abc.abstractmethod
@@ -139,8 +140,7 @@ class Backend(abc.ABC):
 
     # -- batched access (the kernel's hot path) ------------------------- #
 
-    def read_many(self, oids: Sequence[int],
-                  lazy: bool = False) -> Dict[int, StoredObject]:
+    def read_many(self, oids: Sequence[int]) -> Dict[int, StoredObject]:
         """Fetch a batch of objects, keyed by oid.
 
         Duplicate oids are fetched once.  Raises
@@ -148,13 +148,13 @@ class Backend(abc.ABC):
         The fallback loops over :meth:`read_object` (in first-occurrence
         order, so cost accounting matches a hand-written loop); engines
         with a set-oriented access path override this with one query per
-        batch and set :attr:`supports_batched_reads`.  ``lazy`` has the
-        same meaning as on :meth:`read_object`.
+        batch and set :attr:`supports_batched_reads`.  Records come
+        back in the same form as from :meth:`read_object`.
         """
         records: Dict[int, StoredObject] = {}
         for oid in oids:
             if oid not in records:
-                records[oid] = self.read_object(oid, lazy=lazy)
+                records[oid] = self.read_object(oid)
         return records
 
     def write_many(self, records: Sequence[StoredObject]) -> None:

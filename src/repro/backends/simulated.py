@@ -95,8 +95,8 @@ class SimulatedBackend(Backend):
                   order: Optional[Sequence[int]] = None) -> int:
         return self.store.bulk_load(records, order=order)
 
-    def read_object(self, oid: int, lazy: bool = False) -> StoredObject:
-        return self.store.read_object(oid, lazy=lazy)
+    def read_object(self, oid: int) -> StoredObject:
+        return self.store.read_object(oid)
 
     def write_object(self, record: StoredObject) -> None:
         self.store.write_object(record)

@@ -52,8 +52,8 @@ file; a per-name summary lands on stderr after the run.  ``run``,
 ``ops``, ``scenario`` and ``loadtest`` accept ``--profile FILE`` to
 cProfile the whole command (:mod:`repro.obs.profiler`): a JSON report
 of per-function cumulative times goes to FILE and the top functions to
-stderr — the tool that shows ``decode_object`` falling off the hot
-path under the lazy record mode (``ocb scenario --lazy``).  ``ocb scale
+stderr — the tool that shows ``decode_object`` absent from the hot
+path, where every engine read returns a lazy record.  ``ocb scale
 --json`` and ``ocb bench`` emit the one schema-versioned document shape
 of :mod:`repro.obs.results` (see ``docs/bench_schema.md``).
 """
@@ -215,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="MS",
                           help="per-connection busy budget in ms for "
                                "shared storage (default: 5000)")
-    scenario.add_argument("--lazy", action="store_true",
-                          help="serve reads as zero-copy lazy records "
-                               "(identical logical results, no record "
-                               "decode on access)")
     scenario.add_argument("--json", action="store_true",
                           help="emit one machine-readable JSON document "
                                "instead of the tables")
@@ -644,8 +640,6 @@ def _cmd_scenario(args: argparse.Namespace) -> str:
         overrides["warm_ops"] = args.warm
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.lazy:
-        overrides["lazy"] = True
     if overrides:
         scenario = replace(scenario, **overrides)
     if scenario.backend in ("sqlite", "sharded-sqlite"):

@@ -10,10 +10,11 @@ used to wire up separately:
 
 * **object access** — :meth:`access` charges the engine and notifies the
   clustering policy of the link crossing (DSTC's observation input);
-* **batched access** — :meth:`prefetch` pulls a whole BFS frontier or
-  match set through :meth:`~repro.backends.base.Backend.read_many` into
-  a decoded-record cache that :meth:`access` consults, turning N point
-  queries into one round trip on engines that support it (SQLite).
+* **batched access** — :meth:`prefetch` pulls a whole BFS frontier, a
+  depth-first node's children or a match set through
+  :meth:`~repro.backends.base.Backend.read_many` into a record cache
+  that :meth:`access` consults, turning N point queries into one round
+  trip on engines that support it (SQLite).
   Batching only activates when the engine declares
   ``supports_batched_reads``, so cost-model engines keep bit-identical
   per-object accounting;
@@ -105,8 +106,7 @@ class Session:
                  policy: Optional[ClusteringPolicy] = None,
                  tref_table: Optional[Mapping[int, Tuple[int, ...]]] = None,
                  catalog: Optional[Mapping[int, int]] = None,
-                 batch: Optional[bool] = None,
-                 lazy: bool = False) -> None:
+                 batch: Optional[bool] = None) -> None:
         self.store = store
         self.policy = policy or NoClustering()
         self._tref_table = dict(tref_table or {})
@@ -116,12 +116,6 @@ class Session:
         self.batch_reads = batch and hasattr(store, "read_many")
         self.batch_writes = self.batch_reads and \
             bool(getattr(store, "supports_batched_writes", False))
-        #: Decode-free read mode: every read asks the engine for a lazy
-        #: zero-copy record (header parsed, refs/back-refs deferred).
-        #: Default off so default-path goldens and cost accounting stay
-        #: byte-identical; engines without a byte representation simply
-        #: ignore the flag.
-        self.lazy = bool(lazy)
         self._prefetched: Dict[int, StoredObject] = {}
 
     # ------------------------------------------------------------------ #
@@ -135,8 +129,7 @@ class Session:
                      policy: Optional[ClusteringPolicy] = None,
                      batch: Optional[bool] = None,
                      backend_options: Optional[dict] = None,
-                     load: bool = True,
-                     lazy: bool = False) -> "Session":
+                     load: bool = True) -> "Session":
         """Build a Session over *store* for a generated *database*.
 
         *store* may be a loaded :class:`ObjectStore`/:class:`Backend`
@@ -166,7 +159,7 @@ class Session:
             store.reset_stats()
         return cls(store, policy=policy,
                    tref_table=database.tref_table(),
-                   catalog=database.catalog(), batch=batch, lazy=lazy)
+                   catalog=database.catalog(), batch=batch)
 
     # ------------------------------------------------------------------ #
     # Catalog lookups (no I/O)
@@ -195,17 +188,16 @@ class Session:
         """Read one object, charging I/O and notifying the policy.
 
         Prefetched records (see :meth:`prefetch`) are served from the
-        decoded-record cache without touching the engine again; the
-        clustering policy still observes every link crossing.  Each
-        prefetched record is consumed by its first serve (so the cache
-        never grows past one frontier/chunk, and repeat visits are
+        record cache without touching the engine again; the clustering
+        policy still observes every link crossing.  Each prefetched
+        record is consumed by its first serve (so repeat visits are
         charged to the engine exactly as they are without batching —
         the OO1 heritage of counting duplicate visits carries over to
         the physical counters).
         """
         record = self._prefetched.pop(oid, None) if self.batch_reads else None
         if record is None:
-            record = self._read_object(oid)
+            record = self.store.read_object(oid)
         source_oid = source.oid if source is not None else None
         if source is not None and ref_slot is not None:
             if via_back_ref:
@@ -229,32 +221,25 @@ class Session:
         """
         record = self._prefetched.pop(oid, None) if self.batch_reads else None
         if record is None:
-            record = self._read_object(oid)
+            record = self.store.read_object(oid)
         self.policy.observe_access(source_oid, oid, None)
         return record
 
-    def _read_object(self, oid: int) -> StoredObject:
-        """One engine read, lazily decoded when the session is lazy.
-
-        The flag is only *passed* in lazy mode, so default sessions issue
-        the exact call they always have — stub stores in tests (and any
-        engine predating the flag) keep working unchanged.
-        """
-        if self.lazy:
-            return self.store.read_object(oid, lazy=True)
-        return self.store.read_object(oid)
-
     def prefetch(self, oids: Iterable[int]) -> int:
-        """Batch-fetch *oids* into the decoded-record cache.
+        """Batch-fetch *oids* into the record cache.
 
         A no-op (returning 0) unless the engine supports batched reads,
         so callers sprinkle frontier prefetches without changing the
         behaviour of cost-model engines.  Returns the number of records
-        actually fetched; already-cached oids are not re-read.
+        actually fetched; already-cached oids are not re-read, and a
+        single missing oid is left to :meth:`access`'s point read (a
+        one-element ``IN`` query costs more than a point query).
 
         Each cached record is consumed by its first :meth:`access` /
-        :meth:`touch`, so the cache holds at most one frontier or scan
-        chunk at a time.  Note that engine-side *physical* counters
+        :meth:`touch`, so the cache holds one frontier or scan chunk,
+        or, under a depth-first walk, the pending siblings of each node
+        on the current path (bounded by depth × fan-out).  Note that
+        engine-side *physical* counters
         (``object_accesses``, SQL round trips) legitimately differ
         between batched and per-object runs — prefetching may fetch
         objects a truncated traversal never serves; the paper's
@@ -265,12 +250,9 @@ class Session:
             return 0
         missing = [oid for oid in dict.fromkeys(oids)
                    if oid not in self._prefetched]
-        if not missing:
+        if len(missing) < 2:
             return 0
-        if self.lazy:
-            self._prefetched.update(self.store.read_many(missing, lazy=True))
-        else:
-            self._prefetched.update(self.store.read_many(missing))
+        self._prefetched.update(self.store.read_many(missing))
         return len(missing)
 
     def traverse_refs_many(self, oids: Iterable[int]

@@ -25,9 +25,11 @@ Every object access funnels through the execution kernel
 ``AccessContext`` — the old name remains an alias), which charges the
 engine and notifies the clustering policy of each link crossing (DSTC's
 observation input).  Set-oriented accesses expand level by level and
-prefetch each BFS frontier through the kernel's batched read path, so
-engines with native batching (SQLite) answer a whole frontier — forward
-or reversed — with one round trip.
+prefetch each BFS frontier through the kernel's batched read path;
+depth-first traversals prefetch each expanded node's children before
+descending into them.  Engines with native batching (SQLite) therefore
+answer a whole frontier, or a node's whole fan-out — forward or
+reversed — with one round trip.
 """
 
 from __future__ import annotations
@@ -114,10 +116,6 @@ class _Tracker:
         if depth > self.max_depth:
             self.max_depth = depth
         return True
-
-    def should_expand(self, oid: int) -> bool:
-        """With dedupe on, only first visits are expanded."""
-        return True  # Expansion filtering handled by callers via `seen`.
 
 
 def run_transaction(ctx: Session, spec: TransactionSpec,
@@ -225,6 +223,13 @@ def _breadth_first(ctx: Session, spec: TransactionSpec,
 
 def _depth_first(ctx: Session, spec: TransactionSpec,
                  tracker: _Tracker, type_filter: Optional[int]) -> None:
+    """Pre-order expansion that announces each node's children up front.
+
+    The visit order is the classic recursive one; before descending,
+    the node's (type-filtered, and with dedupe on, unseen) targets are
+    prefetched, which engines with native batching answer in one round
+    trip per expanded node instead of one per child.
+    """
     root_record = ctx.access(spec.root)
     if not tracker.note(spec.root, 0):
         return
@@ -233,8 +238,10 @@ def _depth_first(ctx: Session, spec: TransactionSpec,
     def visit(record: StoredObject, depth: int) -> bool:
         if depth >= spec.depth:
             return True
-        for target, index, via_back in _neighbours(ctx, record, spec.reverse,
-                                                   type_filter):
+        edges = _neighbours(ctx, record, spec.reverse, type_filter)
+        ctx.prefetch(target for target, _, _ in edges
+                     if not (spec.dedupe and target in seen))
+        for target, index, via_back in edges:
             if spec.dedupe and target in seen:
                 continue
             child = ctx.access(target, source=record, ref_slot=index,

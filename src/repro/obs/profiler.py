@@ -4,9 +4,9 @@ The tracer (:mod:`repro.obs.trace`) decomposes wall time into the spans
 the code *chose* to instrument; the profiler answers the complementary
 question — *which functions* burned the time — with zero instrumented
 call sites, because :mod:`cProfile` hooks the interpreter itself.  It is
-how the decode-free fast paths prove their claim: profile a decoded run
-and a lazy run of the same mix and watch ``decode_object``'s cumulative
-share collapse (:func:`cumulative_share`).
+how the decode-free read path proves its claim: profile any mix and
+``decode_object``'s cumulative share (:func:`cumulative_share`) stays
+near zero, because engine reads return lazy records.
 
 Zero overhead when off
 ----------------------

@@ -29,14 +29,14 @@ valid record, a property the test-suite checks with Hypothesis.
 
 Two decode strategies share the wire format:
 
-* :func:`decode_object` materializes an eager :class:`StoredObject`,
-  unpacking the whole ref/back-ref vector in one bulk ``struct`` call;
 * :func:`decode_object_lazy` returns a zero-copy :class:`LazyStoredObject`
-  over a ``memoryview`` — the 22-byte header is parsed up front (so
-  corruption still surfaces at read time) but ``refs``, ``back_refs`` and
-  ``size`` are only unpacked on first property access.  Scan-style
-  operations that never touch the reference vector therefore never pay
-  for decoding it.
+  over the record's buffer — the 22-byte header is parsed up front (so
+  corruption still surfaces at read time) but ``refs`` and ``back_refs``
+  are only unpacked on first property access.  It is what every
+  byte-backed engine's read path returns: leaves never pay for their
+  reference vector and forward walks never pay for back-refs.
+  :func:`decode_object` is the same view, materialized into an eager
+  :class:`StoredObject`.
 * :func:`decode_refs` skips record construction entirely and returns just
   the non-null reference vector — the structure-only decode batched
   frontier expansion (``traverse_refs_many``) runs on.
@@ -80,6 +80,23 @@ class StoredObject:
     refs: Tuple[Optional[int], ...] = ()
     back_refs: Tuple[Tuple[int, int], ...] = ()
     filler: int = 0
+
+    @classmethod
+    def from_checked(cls, oid: int, cid: int,
+                     refs: Tuple[Optional[int], ...],
+                     back_refs: Tuple[Tuple[int, int], ...],
+                     filler: int) -> "StoredObject":
+        """Build from fields unpacked out of checked record bytes.
+
+        Skips :meth:`__post_init__`: the values came out of ``struct``
+        (unsigned header fields, tuples already) from a record whose
+        magic and length were verified, so re-validating and re-tupling
+        them is pure overhead on the decode path.
+        """
+        record = object.__new__(cls)
+        record.__dict__.update(oid=oid, cid=cid, refs=refs,
+                               back_refs=back_refs, filler=filler)
+        return record
 
     def __post_init__(self) -> None:
         if self.oid < 1:
@@ -129,10 +146,9 @@ class LazyStoredObject:
 
     def __init__(self, buffer: Union[bytes, memoryview, bytearray],
                  offset: int = 0) -> None:
-        view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
         try:
             magic, oid, cid, nref, nback, filler = _HEADER.unpack_from(
-                view, offset)
+                buffer, offset)
         except struct.error as exc:
             raise StorageError(
                 f"truncated object header at offset {offset}") from exc
@@ -141,7 +157,7 @@ class LazyStoredObject:
                 f"bad magic 0x{magic:04X} at offset {offset} (corrupt store?)")
         pos = offset + HEADER_SIZE
         end = pos + nref * REF_SIZE + nback * BACKREF_SIZE + filler
-        if end > len(view):
+        if end > len(buffer):
             raise StorageError(
                 f"truncated object body for oid {oid} at offset {offset}")
         self.oid = oid
@@ -149,7 +165,7 @@ class LazyStoredObject:
         self.filler = filler
         self._nref = nref
         self._nback = nback
-        self._buffer = view
+        self._buffer = buffer
         self._pos = pos
         self._refs: Optional[Tuple[Optional[int], ...]] = None
         self._back_refs: Optional[Tuple[Tuple[int, int], ...]] = None
@@ -185,8 +201,8 @@ class LazyStoredObject:
 
     def materialize(self) -> StoredObject:
         """Fully decode into an eager, standalone :class:`StoredObject`."""
-        return StoredObject(oid=self.oid, cid=self.cid, refs=self.refs,
-                            back_refs=self.back_refs, filler=self.filler)
+        return StoredObject.from_checked(self.oid, self.cid, self.refs,
+                                         self.back_refs, self.filler)
 
     def with_refs(self, refs: Tuple[Optional[int], ...]) -> StoredObject:
         """Materialize a copy with replaced forward references."""
@@ -204,6 +220,13 @@ class LazyStoredObject:
                     and self.refs == other.refs
                     and self.back_refs == other.back_refs)
         return NotImplemented
+
+    def __reduce__(self):
+        # A memoryview cannot be pickled and a shared buffer holds other
+        # records: rebuild from the bytes of this record's own span.
+        start = self._pos - HEADER_SIZE
+        span = bytes(self._buffer[start:start + self.size])
+        return (LazyStoredObject, (span,))
 
     def __repr__(self) -> str:
         state = "materialized" if self.materialized else "lazy"
@@ -257,22 +280,7 @@ def _unpack_back_refs(data, pos: int, nback: int) -> Tuple[Tuple[int, int], ...]
 
 def decode_object(data, offset: int = 0) -> StoredObject:
     """Deserialize one record from *data* starting at *offset*."""
-    try:
-        magic, oid, cid, nref, nback, filler = _HEADER.unpack_from(data, offset)
-    except struct.error as exc:
-        raise StorageError(f"truncated object header at offset {offset}") from exc
-    if magic != MAGIC:
-        raise StorageError(
-            f"bad magic 0x{magic:04X} at offset {offset} (corrupt store?)")
-    pos = offset + HEADER_SIZE
-    end = pos + nref * REF_SIZE + nback * BACKREF_SIZE + filler
-    if end > len(data):
-        raise StorageError(
-            f"truncated object body for oid {oid} at offset {offset}")
-    refs = _unpack_refs(data, pos, nref)
-    back_refs = _unpack_back_refs(data, pos + nref * REF_SIZE, nback)
-    return StoredObject(oid=oid, cid=cid, refs=refs,
-                        back_refs=back_refs, filler=filler)
+    return LazyStoredObject(data, offset).materialize()
 
 
 def decode_object_lazy(data, offset: int = 0) -> LazyStoredObject:

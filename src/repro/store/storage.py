@@ -16,9 +16,10 @@ The store supports the full lifecycle the benchmarks need:
 * :meth:`reorganize` — physical re-clustering, with its I/O overhead
   measured separately (the paper's "clustering I/O overhead" metric).
 
-Decoded records are cached (the analogue of Texas' swizzled in-memory
-objects) for as long as their pages are resident; eviction invalidates
-them through the buffer pool's eviction callback.
+Read records (lazy views over their bytes) are cached (the analogue of
+Texas' swizzled in-memory objects) for as long as their pages are
+resident; eviction invalidates them through the buffer pool's eviction
+callback.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from repro.errors import ParameterError, StorageError, UnknownObject
 from repro.store.buffer import BufferPool, BufferStats, ReplacementPolicy
 from repro.store.costs import DEFAULT_PAGE_SIZE, CostModel, SimClock
 from repro.store.disk import DiskStats, SimulatedDisk
-from repro.store.serializer import StoredObject, decode_object, \
-    decode_object_lazy, encode_object
+from repro.store.serializer import StoredObject, decode_object_lazy, \
+    encode_object
 from repro.store.swizzle import SwizzleStats, SwizzleTable
 
 __all__ = ["StoreConfig", "StoreSnapshot", "ReorganizationStats",
@@ -168,7 +169,8 @@ class ObjectStore:
             if track_swizzling else None
         self.page_size = page_size
         self.object_accesses = 0
-        #: Records fully decoded from their byte form (read path misses).
+        #: Records fully decoded from their byte form: zero, because
+        #: reads return lazy records (reported beside decodes_avoided).
         self.records_decoded = 0
         #: Reads answered without a full decode (lazy header-only views).
         self.decodes_avoided = 0
@@ -222,13 +224,14 @@ class ObjectStore:
     # Read path
     # ------------------------------------------------------------------ #
 
-    def read_object(self, oid: int, lazy: bool = False) -> StoredObject:
+    def read_object(self, oid: int) -> StoredObject:
         """Fetch one object, faulting in pages and swizzling as needed.
 
-        With ``lazy=True`` a cache miss hands back a zero-copy
+        A cache miss hands back a zero-copy
         :class:`~repro.store.serializer.LazyStoredObject` (header parsed,
-        refs/back-refs deferred) instead of a fully decoded record; the
-        accounting (page faults, swizzling, clock) is identical.
+        refs/back-refs deferred).  The simulated clock charges the access
+        and the page faults, never the decode, so the accounting does not
+        depend on the record form.
         """
         try:
             offset, length = self._directory[oid]
@@ -243,13 +246,8 @@ class ObjectStore:
             self._touch_pages(offset, length)
             return cached
 
-        data = self._fetch_bytes(offset, length)
-        if lazy:
-            self.decodes_avoided += 1
-            record = decode_object_lazy(data)
-        else:
-            self.records_decoded += 1
-            record = decode_object(data)
+        record = decode_object_lazy(self._fetch_bytes(offset, length))
+        self.decodes_avoided += 1
         self._live[oid] = record
         return record
 
@@ -398,10 +396,11 @@ class ObjectStore:
         ps = self.page_size
         old_directory = dict(self._directory)
 
-        # Decode every record from the (flushed, authoritative) disk image.
-        records: Dict[int, StoredObject] = {}
-        for oid, (offset, length) in old_directory.items():
-            records[oid] = decode_object(self._peek_bytes(offset, length))
+        # Copy every record's bytes from the (flushed, authoritative) disk
+        # image: a move relocates the canonical encoding unchanged.
+        images: Dict[int, bytes] = {
+            oid: self._peek_bytes(offset, length)
+            for oid, (offset, length) in old_directory.items()}
 
         # Build the new segment: aligned groups first, remainder after.
         grouped: Set[int] = set()
@@ -422,12 +421,12 @@ class ObjectStore:
         new_directory: Dict[int, Tuple[int, int]] = {}
 
         def place(oid: int) -> None:
-            data = encode_object(records[oid])
+            data = images[oid]
             new_directory[oid] = (len(segment), len(data))
             segment.extend(data)
 
         for group in groups:
-            group_bytes = sum(records[oid].size for oid in group)
+            group_bytes = sum(len(images[oid]) for oid in group)
             tail = len(segment) % ps
             if tail and group_bytes > ps - tail:
                 segment.extend(b"\x00" * (ps - tail))  # Pad to boundary.

@@ -1,16 +1,18 @@
-"""Decode-free hot paths end-to-end: structure traversal, lazy sessions,
+"""Decode-free hot paths end-to-end: structure traversal, lazy reads,
 decode counters, and the graph_walk preset.
 
 The serializer-level equivalence lives in ``tests/store/test_lazy.py``;
 this module pins the layers above it — that ``structure_traversal``
-operations really decode nothing, that a lazy session changes no
-logical result, and that the counters every engine now reports tell the
-two apart.
+operations really decode nothing, that every byte-backed engine reads
+lazy records equal to the decoded stored bytes, and that the counters
+every engine reports prove no record was decoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+
+import pytest
 
 from repro.backends.sqlite import SQLiteBackend
 from repro.core.presets import scenario_preset
@@ -21,7 +23,9 @@ from repro.core.scenario import (
     WorkloadMix,
 )
 from repro.core.session import Session
-from repro.store.serializer import LazyStoredObject
+from repro.errors import ParameterError
+from repro.store.serializer import LazyStoredObject, decode_object, \
+    encode_object
 
 
 def _structure_scenario(**overrides):
@@ -80,49 +84,69 @@ class TestStructureTraversal:
 
 
 class TestLazySession:
+    """Lazy records are the only read result of byte-backed engines."""
+
     def test_lazy_session_reads_lazy_records(self, small_database):
         backend = SQLiteBackend()
         records = small_database.to_records()
         backend.bulk_load(records.values(), order=sorted(records))
-        session = Session(backend, lazy=True)
+        session = Session(backend)
         oid = sorted(records)[0]
         record = session.access(oid)
         assert isinstance(record, LazyStoredObject)
         assert record == records[oid]
         session.close()
 
-    def test_lazy_scenario_matches_default_logical_metrics(
-            self, small_database):
+    @pytest.mark.parametrize("engine",
+                             ["sqlite", "sharded-sqlite", "simulated"])
+    def test_reads_equal_decode_of_stored_bytes(self, small_database,
+                                                engine):
+        session = Session.for_database(small_database, engine)
+        records = small_database.to_records()
+        oids = sorted(records)[::25]
+        batch = session.store.read_many(oids)
+        for oid in oids:
+            # bulk_load stored exactly encode_object(record) per oid.
+            expected = decode_object(encode_object(records[oid]))
+            for record in (session.store.read_object(oid), batch[oid]):
+                assert isinstance(record, LazyStoredObject)
+                assert record == expected
+        stats = session.store.stats()
+        assert stats["records_decoded"] == 0
+        assert stats["decodes_avoided"] > 0
+        session.close()
+
+    def test_scenario_matches_memory_logical_metrics(self, small_database):
         base = _structure_scenario(mix=WorkloadMix(
             name="mixed_reads", entries=(
                 MixEntry("simple", weight=0.4, depth=2),
                 MixEntry("range_lookup", weight=0.3, range_width=5),
                 MixEntry("sequential_scan", weight=0.3),)))
-        eager = ScenarioRunner(small_database, base).run()
-        lazy = ScenarioRunner(
-            small_database, replace(base, lazy=True)).run()
-        assert lazy.total_operations == eager.total_operations
-        assert lazy.merged_warm.totals.objects \
-            == eager.merged_warm.totals.objects
-        assert eager.records_decoded > 0
-        assert lazy.records_decoded == 0
-        assert lazy.decodes_avoided > 0
+        sqlite = ScenarioRunner(small_database, base).run()
+        memory = ScenarioRunner(
+            small_database, replace(base, backend="memory")).run()
+        assert sqlite.total_operations == memory.total_operations
+        assert sqlite.merged_warm.totals.objects \
+            == memory.merged_warm.totals.objects
+        assert sqlite.records_decoded == 0
+        assert sqlite.decodes_avoided > 0
 
-    def test_lazy_spec_round_trips(self):
-        scenario = _structure_scenario(lazy=True)
-        spec = scenario.to_dict()
-        assert spec["lazy"] is True
-        assert Scenario.from_dict(spec).lazy is True
-        # Default mode stays byte-identical: the key is simply absent.
-        assert "lazy" not in _structure_scenario().to_dict()
+    def test_lazy_spec_key_is_rejected(self):
+        spec = _structure_scenario().to_dict()
+        assert "lazy" not in spec
+        spec["lazy"] = True
+        with pytest.raises(ParameterError, match="lazy"):
+            Scenario.from_dict(spec)
 
     def test_run_processes_carries_lazy_mode(self, small_database):
-        """Process runs no longer refuse lazy scenarios: the flag rides
-        every WorkerSpec into the worker's session (the fuller coverage
-        lives in ``tests/parallel/test_parallel_runner.py``)."""
+        """Worker processes read through the same lazy path (the fuller
+        coverage lives in ``tests/parallel/test_parallel_runner.py``)."""
         from repro.parallel.spec import ParallelConfig
 
-        scenario = _structure_scenario(lazy=True, clients=2)
+        scenario = _structure_scenario(clients=2, mix=WorkloadMix(
+            name="walks", entries=(
+                MixEntry("structure_traversal", weight=1.0, depth=4),
+                MixEntry("simple", weight=1.0, depth=2))))
         runner = ScenarioRunner(small_database, scenario)
         report = runner.run_processes(config=ParallelConfig(parallel=False))
         assert report.decodes_avoided > 0

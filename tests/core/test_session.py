@@ -100,13 +100,27 @@ class TestBatching:
         # batching (OO1 heritage: duplicate visits count).
         backend = loaded_sqlite(small_database)
         session = Session(backend)
-        oid = sorted(small_database.objects)[0]
-        session.prefetch([oid])
+        oid, other = sorted(small_database.objects)[:2]
+        session.prefetch([oid, other])
         trips = backend.sql_round_trips
         session.access(oid)
         assert backend.sql_round_trips == trips       # Served from cache.
         session.access(oid)
         assert backend.sql_round_trips == trips + 1   # Cache was consumed.
+        session.close()
+
+    def test_single_missing_oid_is_left_to_a_point_read(self,
+                                                         small_database):
+        # A one-element IN query costs more than the point read access()
+        # issues anyway, so prefetch does not reach the engine for it.
+        backend = loaded_sqlite(small_database)
+        session = Session(backend)
+        first, second = sorted(small_database.objects)[:2]
+        assert session.prefetch([first, first]) == 0
+        assert backend.sql_round_trips == 0
+        assert session.prefetch([first, second]) == 2
+        assert session.prefetch([first, second]) == 0  # Both cached.
+        assert backend.sql_round_trips == 1
         session.close()
 
     def test_scan_cache_stays_bounded(self, small_database):
@@ -121,8 +135,8 @@ class TestBatching:
     def test_end_transaction_clears_cache(self, small_database):
         backend = loaded_sqlite(small_database)
         session = Session(backend)
-        oid = sorted(small_database.objects)[0]
-        session.prefetch([oid])
+        oid, other = sorted(small_database.objects)[:2]
+        assert session.prefetch([oid, other]) == 2
         session.end_transaction()
         trips = backend.sql_round_trips
         session.access(oid)
@@ -132,8 +146,8 @@ class TestBatching:
     def test_write_invalidates_prefetched_record(self, small_database):
         session = Session(loaded_sqlite(small_database))
         records = small_database.to_records()
-        oid = sorted(records)[0]
-        session.prefetch([oid])
+        oid, other = sorted(records)[:2]
+        assert session.prefetch([oid, other]) == 2
         changed = records[oid].with_back_refs(((999, 0),))
         session.write_record(changed)
         assert session.access(oid) == changed

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends.sqlite import SQLiteBackend
+from repro.clustering.base import NoClustering
 from repro.clustering.dstc import DSTCParameters, DSTCPolicy
+from repro.core import transactions
+from repro.core.session import Session
 from repro.core.transactions import (
     AccessContext,
     TransactionKind,
@@ -246,3 +250,98 @@ class TestAccessContext:
     def test_class_of(self, tree_ctx):
         assert tree_ctx.class_of(1) == 1
         assert tree_ctx.class_of(12345) is None
+
+
+class _RecordingPolicy(NoClustering):
+    """Logs every observed link crossing, in order."""
+
+    def __init__(self):
+        self.crossings = []
+
+    def observe_access(self, source, target, ref_type=None):
+        self.crossings.append((source, target, ref_type))
+
+
+def _dfs_specs(database, kind, reverse, dedupe, max_visits):
+    roots = sorted(database.objects)[::17]
+    return [TransactionSpec(kind=kind, root=root, depth=4, reverse=reverse,
+                            ref_type=(index % 4 if kind is
+                                      TransactionKind.HIERARCHY else None),
+                            dedupe=dedupe, max_visits=max_visits)
+            for index, root in enumerate(roots)]
+
+
+def _run_dfs(session, specs):
+    policy = _RecordingPolicy()
+    session.policy = policy
+    results = [run_transaction(session, one, LewisPayne(7)) for one in specs]
+    return results, policy.crossings
+
+
+class TestDepthFirstPrefetch:
+    """Depth-first walks prefetch each expanded node's children."""
+
+    @pytest.mark.parametrize("max_visits", [5000, 9])
+    @pytest.mark.parametrize("dedupe", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("kind", [TransactionKind.SIMPLE,
+                                      TransactionKind.HIERARCHY])
+    def test_sqlite_results_equal_memory(self, small_database, kind,
+                                         reverse, dedupe, max_visits):
+        specs = _dfs_specs(small_database, kind, reverse, dedupe,
+                           max_visits)
+        memory = Session.for_database(small_database, "memory")
+        sqlite = Session.for_database(small_database, "sqlite")
+        assert sqlite.batch_reads and not memory.batch_reads
+        expected = _run_dfs(memory, specs)
+        assert _run_dfs(sqlite, specs) == expected
+        results = expected[0]
+        if max_visits == 9 and kind is TransactionKind.SIMPLE:
+            assert any(result.truncated for result in results)
+        assert sum(result.visits for result in results) > len(specs)
+        memory.close()
+        sqlite.close()
+
+    def test_round_trips_bounded_by_expanded_nodes(self, small_database,
+                                                   monkeypatch):
+        # Set semantics: without dedupe, a repeat visit is charged to the
+        # engine again by design (Session.access), so it adds trips.
+        expanded = []
+        original = transactions._neighbours
+
+        def counting(ctx, record, reverse, type_filter):
+            expanded.append(record.oid)
+            return original(ctx, record, reverse, type_filter)
+
+        monkeypatch.setattr(transactions, "_neighbours", counting)
+        session = Session.for_database(small_database, "sqlite")
+        backend = session.store
+        for root in sorted(small_database.objects)[::29]:
+            expanded.clear()
+            before = backend.sql_round_trips
+            run_transaction(session, TransactionSpec(
+                kind=TransactionKind.SIMPLE, root=root, depth=3,
+                dedupe=True), LewisPayne(3))
+            trips = backend.sql_round_trips - before
+            assert expanded
+            assert trips <= len(expanded) + 1, (root, trips, expanded)
+        session.close()
+
+    def test_single_target_is_a_point_read(self):
+        records = [StoredObject(oid=1, cid=1, refs=(2, None)),
+                   StoredObject(oid=2, cid=1, back_refs=((1, 0),))]
+        backend = SQLiteBackend()
+        backend.bulk_load(records)
+        backend.reset_stats()
+        batches = []
+        read_many = backend.read_many
+        backend.read_many = lambda oids: batches.append(oids) or \
+            read_many(oids)
+        session = Session(backend, tref_table={1: (1, 2)},
+                          catalog={1: 1, 2: 1})
+        result = run_transaction(session, spec(TransactionKind.SIMPLE),
+                                 LewisPayne(1))
+        assert result.visits == 2
+        assert batches == []
+        assert backend.sql_round_trips == 2  # Root and child point reads.
+        backend.close()

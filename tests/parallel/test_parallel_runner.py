@@ -320,19 +320,9 @@ def test_parallel_report_counters_default_to_zero():
     assert report.decodes_avoided == 0
 
 
-def test_worker_spec_carries_the_lazy_flag():
-    from repro.parallel.spec import WorkerSpec
-    spec = WorkerSpec(client_id=0, database=None, parameters=None,
-                      backend="sqlite")
-    assert spec.lazy is False
-    spec = WorkerSpec(client_id=0, database=None, parameters=None,
-                      backend="sqlite", lazy=True)
-    assert spec.lazy is True
-
-
-def test_run_processes_accepts_lazy_scenarios(tmp_path):
-    """Lazy mode rides the WorkerSpec across the process boundary and
-    the merged report carries the avoided decodes."""
+def test_run_processes_reads_decode_free(tmp_path):
+    """Worker processes read lazy records: the merged report carries the
+    avoided decodes and no full decode."""
     from repro.core.presets import default_database_parameters
     from repro.core.scenario import MixEntry, Scenario, ScenarioRunner, \
         WorkloadMix
@@ -341,9 +331,10 @@ def test_run_processes_accepts_lazy_scenarios(tmp_path):
         default_database_parameters(scale=0.02, seed=11))
     scenario = Scenario(
         mix=WorkloadMix(name="walk", entries=(
-            MixEntry("structure_traversal", weight=1.0, depth=4),)),
+            MixEntry("structure_traversal", weight=1.0, depth=4),
+            MixEntry("simple", weight=1.0, depth=2))),
         clients=2, cold_ops=1, warm_ops=6, seed=11, backend="sqlite",
-        backend_options={"path": str(tmp_path / "walk.db")}, lazy=True)
+        backend_options={"path": str(tmp_path / "walk.db")})
     # Sequential fallback: same specs and worker code path, no fork —
     # deterministic in CI while still exercising the spec plumbing.
     report = ScenarioRunner(database, scenario).run_processes(

@@ -8,6 +8,9 @@ the same record space the round-trip suite draws from.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +116,33 @@ class TestLazyCorruption:
         """Corruption surfaces at read time, not at first property access."""
         with pytest.raises(StorageError, match="truncated"):
             decode_object_lazy(encode_object(make_record())[:-4])
+
+
+class TestLazyCopies:
+    """Read results cross process boundaries and get deep-copied."""
+
+    def test_pickle_round_trip_equals_the_eager_record(self):
+        record = make_record()
+        lazy = decode_object_lazy(encode_object(record))
+        clone = pickle.loads(pickle.dumps(lazy))
+        assert isinstance(clone, LazyStoredObject)
+        assert clone == record and record == clone
+
+    def test_deepcopy_equals_the_eager_record(self):
+        record = make_record()
+        lazy = decode_object_lazy(encode_object(record))
+        lazy.refs  # A materialized view copies just the same.
+        clone = copy.deepcopy(lazy)
+        assert isinstance(clone, LazyStoredObject)
+        assert clone == record
+
+    def test_pickle_carries_only_the_record_span(self):
+        record = make_record()
+        data = b"\x11" * 50 + encode_object(record) + b"\x22" * 50
+        lazy = decode_object_lazy(memoryview(data), offset=50)
+        clone = pickle.loads(pickle.dumps(lazy))
+        assert clone == record
+        assert len(clone._buffer) == record.size
 
 
 class TestDecodeRefs:

@@ -67,6 +67,34 @@ class TestStoredObject:
         assert record.size == HEADER_SIZE
 
 
+class TestTrustedDecode:
+    """Decoding skips ``__post_init__``; hand-built records still run it."""
+
+    def test_decode_skips_validation(self, monkeypatch):
+        data = encode_object(make_record())
+        calls = []
+        monkeypatch.setattr(StoredObject, "__post_init__",
+                            lambda self: calls.append(self.oid))
+        record = decode_object(data)
+        assert calls == []
+        assert record == make_record()
+        assert type(record) is StoredObject
+
+    def test_decoded_fields_have_the_validated_types(self):
+        record = decode_object(encode_object(make_record()))
+        assert type(record.refs) is tuple
+        assert type(record.back_refs) is tuple
+        assert all(type(pair) is tuple for pair in record.back_refs)
+        assert record.size == make_record().size
+
+    @pytest.mark.parametrize("fields", [
+        dict(oid=0, cid=1), dict(oid=-3, cid=1), dict(oid=1, cid=-1),
+        dict(oid=1, cid=1, filler=-1)])
+    def test_hand_built_records_still_validate(self, fields):
+        with pytest.raises(StorageError):
+            StoredObject(**fields)
+
+
 class TestRoundTrip:
     def test_basic(self):
         record = make_record()
