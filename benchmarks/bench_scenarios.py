@@ -59,8 +59,8 @@ def _point(report, workers):
         "write_operations": report.write_operations,
         "elapsed_seconds": report.elapsed_seconds,
         "throughput": report.throughput,
-        "busy_retries": report.busy_retries,
-        "busy_wait_seconds": report.busy_wait_seconds,
+        "busy_retries": report.counters.busy_retries,
+        "busy_wait_seconds": report.counters.busy_wait_seconds,
         "write_conflicts": report.write_conflicts,
         "read_misses": report.read_misses,
     }

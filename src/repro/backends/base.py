@@ -40,6 +40,7 @@ the metrics pipeline identical for all engines.
 from __future__ import annotations
 
 import abc
+from dataclasses import asdict, astuple, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import BackendError
@@ -50,7 +51,52 @@ from repro.store.serializer import StoredObject
 from repro.store.storage import StoreSnapshot
 from repro.store.swizzle import SwizzleStats
 
-__all__ = ["Backend"]
+__all__ = ["Backend", "EngineCounters"]
+
+
+@dataclass
+class EngineCounters:
+    """Every counter an engine accounts, declared once.
+
+    Engines increment plain attributes of the same names on their hot
+    paths; :meth:`Backend.counters` copies them into this record, and
+    every report (per client, per worker, per run) carries or merges it.
+    All counters merge by sum, so adding one is a one-line change here.
+    """
+
+    #: Objects read, written, inserted or deleted.
+    object_accesses: int = 0
+    #: Records fully decoded from their byte form on a read path.
+    #: Reads return lazy records, so this stays zero: it is reported
+    #: as the proof that the read path is decode-free.
+    records_decoded: int = 0
+    #: Records (or frontier answers) served *without* a full decode —
+    #: lazy header-only reads and structure-only traversal answers.
+    decodes_avoided: int = 0
+    #: SQL statements issued (0 on non-SQL engines).
+    sql_round_trips: int = 0
+    #: Lock collisions retried, and the time spent backing off on them.
+    busy_retries: int = 0
+    busy_wait_seconds: float = 0.0
+    #: Operations and traversal frontier edges a sharded engine routed
+    #: off its home shard (0 without a home shard).
+    remote_reads: int = 0
+    #: Mutations a sharded engine routed off its home shard.
+    remote_writes: int = 0
+    #: Graph edges whose endpoints live in different shards.
+    cross_shard_refs: int = 0
+
+    def merge(self, *others: "EngineCounters") -> "EngineCounters":
+        """A new record: this one plus *others*, field by field."""
+        return EngineCounters(*(sum(values) for values in zip(
+            astuple(self), *(astuple(other) for other in others))))
+
+    def to_dict(self) -> Dict[str, float]:
+        """JSON-ready mapping, one key per counter."""
+        return asdict(self)
+
+
+_ZERO_COUNTERS = EngineCounters().to_dict()
 
 
 class Backend(abc.ABC):
@@ -58,7 +104,8 @@ class Backend(abc.ABC):
 
     Subclasses implement the lifecycle methods; the base class provides
     the shared accounting surface the workload runner expects
-    (``snapshot``, ``clock``, ``cost_model``, ``object_accesses``) with
+    (``snapshot``, ``clock``, ``cost_model``, and one plain attribute per
+    :class:`EngineCounters` field, read back by :meth:`counters`) with
     all simulated counters at zero.  Cost-model backends override
     :meth:`snapshot` to expose their real simulated counters.
     """
@@ -89,14 +136,7 @@ class Backend(abc.ABC):
     supports_concurrent_access: bool = False
 
     def __init__(self) -> None:
-        self.object_accesses = 0
-        #: Records fully decoded from their byte form on a read path.
-        #: Reads return lazy records, so this stays zero: it is reported
-        #: as the proof that the read path is decode-free.
-        self.records_decoded = 0
-        #: Records (or frontier answers) served *without* a full decode —
-        #: lazy header-only reads and structure-only traversal answers.
-        self.decodes_avoided = 0
+        Backend.reset_stats(self)
         self.clock = SimClock()
         self.cost_model = CostModel()
 
@@ -194,7 +234,14 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def stats(self) -> Dict[str, object]:
-        """Engine-specific statistics (configuration, sizes, counters)."""
+        """Engine-specific statistics: configuration and sizes, plus
+        every counter of :meth:`counters`."""
+
+    def counters(self) -> EngineCounters:
+        """The engine's :class:`EngineCounters`, read from the
+        attributes its hot paths increment."""
+        return EngineCounters(*(getattr(self, name)
+                                for name in _ZERO_COUNTERS))
 
     def drop_caches(self) -> bool:
         """Evict every cache the engine controls (a "cold" restart).
@@ -267,9 +314,8 @@ class Backend(abc.ABC):
 
     def reset_stats(self) -> None:
         """Zero the accounting counters (stored data is untouched)."""
-        self.object_accesses = 0
-        self.records_decoded = 0
-        self.decodes_avoided = 0
+        for name, zero in _ZERO_COUNTERS.items():
+            setattr(self, name, zero)
 
     def current_order(self) -> List[int]:
         """Object ids in physical (or canonical) storage order."""

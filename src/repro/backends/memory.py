@@ -85,9 +85,7 @@ class MemoryBackend(Backend):
     def stats(self) -> Dict[str, object]:
         return {"objects": len(self._objects),
                 "encoded_bytes": self._bytes,
-                "object_accesses": self.object_accesses,
-                "records_decoded": self.records_decoded,
-                "decodes_avoided": self.decodes_avoided}
+                **self.counters().to_dict()}
 
     def close(self) -> None:
         self._objects.clear()

@@ -43,15 +43,16 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, EngineCounters
 from repro.backends.sqlite import SQLiteBackend
 from repro.errors import BackendError, StorageError
 from repro.obs import trace
 from repro.store.costs import DEFAULT_PAGE_SIZE
 from repro.store.serializer import StoredObject
-from repro.store.storage import stage_bulk_load
+from repro.store.storage import StoreSnapshot, stage_bulk_load
 
 __all__ = ["ShardedSQLiteBackend", "shard_of", "DEFAULT_SHARDS"]
 
@@ -111,16 +112,6 @@ class ShardedSQLiteBackend(Backend):
         self.synchronous = synchronous
         self.journal_mode = journal_mode
         self.busy_timeout_ms = busy_timeout_ms
-        #: Reads (and traverse lookups) routed to a non-home shard, plus
-        #: traversal frontier edges leaving the home shard.  Only counted
-        #: when the engine has a home shard (worker connections do).
-        self.remote_reads = 0
-        #: Mutations routed to a non-home shard — zero when the workload
-        #: partition and the shard function are aligned.
-        self.remote_writes = 0
-        #: Graph edges whose endpoints live in different shards —
-        #: placement quality, independent of any home shard.
-        self.cross_shard_refs = 0
         #: Shards with an uncommitted write batch.  Normally empty —
         #: every mutation commits its shard immediately (see
         #: :meth:`_commit_shard`) — so :meth:`flush` touches nothing
@@ -141,6 +132,7 @@ class ShardedSQLiteBackend(Backend):
                 synchronous=synchronous,
                 journal_mode=journal_mode,
                 busy_timeout_ms=busy_timeout_ms)
+            engines[shard].contention_owner = self
         self._engines: List[SQLiteBackend] = [engines[shard]
                                               for shard in range(shards)]
 
@@ -200,7 +192,6 @@ class ShardedSQLiteBackend(Backend):
     def read_object(self, oid: int) -> StoredObject:
         shard = self.shard_of(oid)
         record = self._engines[shard].read_object(oid)
-        self.object_accesses += 1
         self._count_remote_read(shard)
         return record
 
@@ -213,7 +204,6 @@ class ShardedSQLiteBackend(Backend):
         for shard in self._fanout_order(groups):
             fetched.update(self._engines[shard].read_many(groups[shard]))
             self._count_remote_read(shard, len(groups[shard]))
-        self.object_accesses += len(unique)
         if trace.enabled:
             trace.emit("sharded.read_many", time.perf_counter() - started,
                        oids=len(unique), shards=len(groups))
@@ -240,7 +230,6 @@ class ShardedSQLiteBackend(Backend):
         self._dirty_shards.add(shard)
         self._engines[shard].write_object(record)
         self._commit_shard(shard)
-        self.object_accesses += 1
         self._count_remote_write(shard)
 
     def write_many(self, records: Sequence[StoredObject]) -> None:
@@ -263,7 +252,6 @@ class ShardedSQLiteBackend(Backend):
             self._engines[shard].write_many(groups[shard])
             self._commit_shard(shard)
             self._count_remote_write(shard, len(groups[shard]))
-        self.object_accesses += len(records)
         if trace.enabled:
             trace.emit("sharded.write_many", time.perf_counter() - started,
                        records=len(records), shards=len(groups))
@@ -273,7 +261,6 @@ class ShardedSQLiteBackend(Backend):
         self._dirty_shards.add(shard)
         self._engines[shard].insert_object(record)
         self._commit_shard(shard)
-        self.object_accesses += 1
         self._count_remote_write(shard)
 
     def delete_object(self, oid: int) -> None:
@@ -281,13 +268,11 @@ class ShardedSQLiteBackend(Backend):
         self._dirty_shards.add(shard)
         self._engines[shard].delete_object(oid)
         self._commit_shard(shard)
-        self.object_accesses += 1
         self._count_remote_write(shard)
 
     def traverse_refs(self, oid: int) -> Tuple[int, ...]:
         shard = self.shard_of(oid)
         refs = self._engines[shard].traverse_refs(oid)
-        self.object_accesses += 1
         self._count_remote_read(shard)
         self._account_edges({oid: refs})
         return refs
@@ -309,7 +294,6 @@ class ShardedSQLiteBackend(Backend):
             refs.update(self._engines[shard].traverse_refs_many(
                 groups[shard]))
             self._count_remote_read(shard, len(groups[shard]))
-        self.object_accesses += len(unique)
         self._account_edges(refs)
         if trace.enabled:
             trace.emit("sharded.traverse_refs_many",
@@ -371,20 +355,16 @@ class ShardedSQLiteBackend(Backend):
 
     # -- accounting surface --------------------------------------------- #
 
-    @property
-    def busy_retries(self) -> int:
-        """Lock collisions retried, summed over every shard connection."""
-        return sum(engine.busy_retries for engine in self._engines)
+    def counters(self) -> EngineCounters:
+        """This engine's routing and contention counters plus every
+        shard connection's accesses, round trips and decode counts."""
+        return super().counters().merge(
+            *(engine.counters() for engine in self._engines))
 
-    @property
-    def busy_wait_seconds(self) -> float:
-        """Backoff sleep spent on locks, summed over every shard."""
-        return sum(engine.busy_wait_seconds for engine in self._engines)
-
-    @property
-    def sql_round_trips(self) -> int:
-        """SQL statements issued, summed over every shard."""
-        return sum(engine.sql_round_trips for engine in self._engines)
+    def snapshot(self) -> StoreSnapshot:
+        # Each access is counted once, by the shard that served it.
+        return replace(super().snapshot(), object_accesses=sum(
+            engine.object_accesses for engine in self._engines))
 
     def stats(self) -> Dict[str, object]:
         shard_stats = [engine.stats() for engine in self._engines]
@@ -400,25 +380,12 @@ class ShardedSQLiteBackend(Backend):
             "pages": sum(int(s["pages"]) for s in shard_stats),
             "objects": sum(int(s["objects"]) for s in shard_stats),
             "objects_per_shard": [int(s["objects"]) for s in shard_stats],
-            "object_accesses": self.object_accesses,
-            "records_decoded": sum(int(s["records_decoded"])
-                                   for s in shard_stats),
-            "decodes_avoided": sum(int(s["decodes_avoided"])
-                                   for s in shard_stats),
-            "sql_round_trips": self.sql_round_trips,
-            "busy_retries": self.busy_retries,
-            "busy_wait_seconds": self.busy_wait_seconds,
-            "remote_reads": self.remote_reads,
-            "remote_writes": self.remote_writes,
-            "cross_shard_refs": self.cross_shard_refs,
             "sqlite_version": shard_stats[0]["sqlite_version"],
+            **self.counters().to_dict(),
         }
 
     def reset_stats(self) -> None:
         super().reset_stats()
-        self.remote_reads = 0
-        self.remote_writes = 0
-        self.cross_shard_refs = 0
         for engine in self._engines:
             engine.reset_stats()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, EngineCounters
 from repro.store.costs import CostModel, SimClock
 from repro.store.serializer import StoredObject
 from repro.store.storage import (
@@ -55,14 +55,6 @@ class SimulatedBackend(Backend):
         return self.store.object_accesses
 
     @property
-    def records_decoded(self) -> int:  # type: ignore[override]
-        return self.store.records_decoded
-
-    @property
-    def decodes_avoided(self) -> int:  # type: ignore[override]
-        return self.store.decodes_avoided
-
-    @property
     def page_size(self) -> int:
         return self.store.page_size
 
@@ -73,6 +65,12 @@ class SimulatedBackend(Backend):
     @property
     def page_count(self) -> int:
         return self.store.page_count
+
+    def counters(self) -> EngineCounters:
+        store = self.store
+        return EngineCounters(object_accesses=store.object_accesses,
+                              records_decoded=store.records_decoded,
+                              decodes_avoided=store.decodes_avoided)
 
     def snapshot(self) -> StoreSnapshot:
         return self.store.snapshot()
@@ -116,9 +114,8 @@ class SimulatedBackend(Backend):
             "io_reads": snap.io_reads,
             "io_writes": snap.io_writes,
             "buffer_hit_ratio": snap.buffer.hit_ratio,
-            "records_decoded": self.store.records_decoded,
-            "decodes_avoided": self.store.decodes_avoided,
             "sim_time": snap.sim_time,
+            **self.counters().to_dict(),
         }
 
     def close(self) -> None:

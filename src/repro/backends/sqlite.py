@@ -116,9 +116,9 @@ class SQLiteBackend(Backend):
         self.synchronous = synchronous
         self.journal_mode = journal_mode
         self.busy_timeout_ms = busy_timeout_ms
-        self.sql_round_trips = 0
-        self.busy_retries = 0
-        self.busy_wait_seconds = 0.0
+        #: The engine busy retries are charged to: this connection, or
+        #: the sharded engine that owns it as one of its shards.
+        self.contention_owner: Backend = self
         self._conn = self._connect()
 
     def _connect(self) -> sqlite3.Connection:
@@ -160,8 +160,9 @@ class SQLiteBackend(Backend):
         """Run *fn*, retrying lock collisions within the busy budget.
 
         Every collision increments :attr:`busy_retries` and the time
-        spent backing off accrues to :attr:`busy_wait_seconds` — the
-        contention-accounting layer the multi-process harness reports.
+        spent backing off accrues to :attr:`busy_wait_seconds` (both on
+        :attr:`contention_owner`) — the contention-accounting layer the
+        multi-process harness reports.
         A budget of zero keeps the single-user behaviour: the first
         collision raises.
         """
@@ -185,8 +186,9 @@ class SQLiteBackend(Backend):
                 delay = min(_BUSY_BACKOFF_START * (2 ** min(attempt, 6)),
                             _BUSY_BACKOFF_CAP, max(deadline - now, 0.0))
                 time.sleep(delay)
-                self.busy_retries += 1
-                self.busy_wait_seconds += time.perf_counter() - now
+                owner = self.contention_owner
+                owner.busy_retries += 1
+                owner.busy_wait_seconds += time.perf_counter() - now
                 if trace.enabled:
                     trace.emit("sqlite.busy_retry",
                                time.perf_counter() - now, attempt=attempt)
@@ -404,20 +406,9 @@ class SQLiteBackend(Backend):
             "pages": self._pragma_int("page_count"),
             "freelist_pages": self._pragma_int("freelist_count"),
             "objects": self.object_count,
-            "object_accesses": self.object_accesses,
-            "records_decoded": self.records_decoded,
-            "decodes_avoided": self.decodes_avoided,
-            "sql_round_trips": self.sql_round_trips,
-            "busy_retries": self.busy_retries,
-            "busy_wait_seconds": self.busy_wait_seconds,
             "sqlite_version": sqlite3.sqlite_version,
+            **self.counters().to_dict(),
         }
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.sql_round_trips = 0
-        self.busy_retries = 0
-        self.busy_wait_seconds = 0.0
 
     def close(self) -> None:
         self._commit()

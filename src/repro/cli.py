@@ -567,34 +567,32 @@ def _cmd_ops(args: argparse.Namespace) -> str:
                      sum(r.io_reads for r in bucket) / n,
                      sum(r.io_writes for r in bucket) / n,
                      sum(r.wall_time for r in bucket) / n * 1e3])
+    # Every engine reports the counter; only SQL engines issue trips.
+    round_trips = bench.backend.counters().sql_round_trips or None
+    bench.backend.close()
     if args.json:
         import json
-        stats = bench.backend.stats() if bench.backend is not None else {}
         document = {
             "command": "ops",
             "preset": args.preset,
             "backend": args.backend,
             "operations": len(results),
-            "sql_round_trips": stats.get("sql_round_trips"),
+            "sql_round_trips": round_trips,
             "per_operation": [
                 {"operation": operation, "n": n, "objects_per_op": objects,
                  "reads_per_op": reads, "writes_per_op": writes,
                  "wall_ms_per_op": wall_ms}
                 for operation, n, objects, reads, writes, wall_ms in rows],
         }
-        bench.backend.close()
         return json.dumps(document, indent=2)
     table = render_table(
         ["operation", "n", "objects/op", "reads/op", "writes/op",
          "wall/op (ms)"],
         rows, title=f"Generic operation mix on {args.backend!r} "
                     f"({args.operations} operations)", precision=3)
-    stats = bench.backend.stats() if bench.backend is not None else {}
-    lines = [table]
-    if "sql_round_trips" in stats:
-        lines.append(f"\nSQL round trips: {stats['sql_round_trips']}")
-    bench.backend.close()
-    return "\n".join(lines)
+    if round_trips is None:
+        return table
+    return f"{table}\n\nSQL round trips: {round_trips}"
 
 
 def _cmd_scenario(args: argparse.Namespace) -> str:

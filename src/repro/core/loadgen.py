@@ -30,16 +30,17 @@ from __future__ import annotations
 
 import copy
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.database import OCBDatabase
 from repro.core.scenario import (
-    ClientScenarioReport,
     Scenario,
     ScenarioCollector,
     ScenarioReport,
     ScenarioRunner,
+    client_reports,
 )
 from repro.errors import ParameterError
 from repro.obs import trace
@@ -209,7 +210,7 @@ class OpenLoopReport:
             # design, so it must not be the gated field).
             "wall_p95_ms": service_p95_ms,
             "write_operations": report.write_operations,
-            "busy_retries": report.busy_retries,
+            "busy_retries": report.counters.busy_retries,
         }
         cell.update(self.latency.cell_fields())
         return cell
@@ -267,13 +268,10 @@ class OpenLoopRunner:
         cold = [ScenarioCollector("cold") for _ in executors]
         warm = [ScenarioCollector("warm") for _ in executors]
         started = self._clock()
-        if trace.enabled:
-            with trace.span("scenario.phase", phase="cold",
-                            scenario=scenario.mix.name):
-                for _ in range(scenario.cold_ops):
-                    for executor, collector in zip(executors, cold):
-                        executor.step(collector)
-        else:
+        span = trace.span("scenario.phase", phase="cold",
+                          scenario=scenario.mix.name) \
+            if trace.enabled else nullcontext()
+        with span:
             for _ in range(scenario.cold_ops):
                 for executor, collector in zip(executors, cold):
                     executor.step(collector)
@@ -297,33 +295,15 @@ class OpenLoopRunner:
         paced = pace(offsets, execute, latency, observe=observe,
                      clock=self._clock, sleep=self._sleep)
         elapsed = self._clock() - started
-        clients = [
-            ClientScenarioReport(
-                client_id=executor.client_id,
-                cold=cold_collector.phase,
-                warm=warm_collector.phase,
-                read_misses=executor.read_misses,
-                write_conflicts=executor.write_conflicts,
-                late_starts=late_by_client[executor.client_id],
-                max_backlog=backlog_by_client[executor.client_id])
-            for executor, cold_collector, warm_collector
-            in zip(executors, cold, warm)]
-        backend_name = getattr(engine, "name", type(engine).__name__)
-        stats = engine.stats() if hasattr(engine, "stats") else {}
-        if clients and stats.get("busy_retries"):
-            clients[0].busy_retries += int(stats["busy_retries"])
-            clients[0].busy_wait_seconds += float(
-                stats.get("busy_wait_seconds", 0.0) or 0.0)
-        if clients and stats.get("remote_reads"):
-            clients[0].remote_reads += int(stats["remote_reads"])
         report = ScenarioReport(
             scenario_name=scenario.mix.name,
-            clients=clients,
-            backend_name=backend_name,
+            clients=client_reports(executors, cold, warm, engine,
+                                   late_starts=late_by_client,
+                                   max_backlog=backlog_by_client),
+            backend_name=getattr(engine, "name", type(engine).__name__),
             mode="open-loop",
             elapsed_seconds=elapsed,
             executed_parallel=False,
-            sql_round_trips=int(stats.get("sql_round_trips", 0) or 0),
             offered_rate=self.rate,
             arrival_mode=self.mode)
         return OpenLoopReport(

@@ -65,6 +65,7 @@ from __future__ import annotations
 import copy
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import (
@@ -78,6 +79,7 @@ from typing import (
     Union,
 )
 
+from repro.backends.base import EngineCounters
 from repro.clustering.base import ClusteringPolicy, NoClustering, \
     PlacementContext
 from repro.core.database import OCBDatabase, OCBObject
@@ -111,6 +113,7 @@ __all__ = [
     "ScenarioCollector",
     "ClientScenarioReport",
     "ScenarioReport",
+    "client_reports",
     "ClientExecutor",
     "ScenarioRunner",
     "STREAM_WORKLOAD",
@@ -747,18 +750,16 @@ class ScenarioCollector:
 
 @dataclass
 class ClientScenarioReport:
-    """One client's cold + warm scenario phases and contention counters."""
+    """One client's cold + warm scenario phases and engine counters."""
 
     client_id: int
     cold: ScenarioPhase
     warm: ScenarioPhase
     read_misses: int = 0
     write_conflicts: int = 0
-    busy_retries: int = 0
-    busy_wait_seconds: float = 0.0
-    #: Operations (and traversal frontier edges) a sharded engine routed
-    #: off this client's home shard — 0 on unsharded backends.
-    remote_reads: int = 0
+    #: The counters of the engine this client drove (see
+    #: :func:`client_reports` for the attribution rule).
+    counters: EngineCounters = field(default_factory=EngineCounters)
     pid: Optional[int] = None
     wall_seconds: float = 0.0
     #: Open-loop pacing counters — operations whose start lagged their
@@ -781,9 +782,7 @@ class ClientScenarioReport:
             "operations": self.operations,
             "read_misses": self.read_misses,
             "write_conflicts": self.write_conflicts,
-            "busy_retries": self.busy_retries,
-            "busy_wait_seconds": self.busy_wait_seconds,
-            "remote_reads": self.remote_reads,
+            **self.counters.to_dict(),
             "late_starts": self.late_starts,
             "max_backlog": self.max_backlog,
             "cold": self.cold.to_dict(),
@@ -803,15 +802,6 @@ class ScenarioReport:
     mode: str = "interleaved"
     elapsed_seconds: float = 0.0
     executed_parallel: bool = False
-    #: Engine-level SQL statements executed (0 for non-SQL backends) —
-    #: summed over workers when the scenario ran as processes.
-    sql_round_trips: int = 0
-    #: Engine-level decode accounting: records fully decoded from bytes
-    #: (zero: every engine read is lazy), and reads/frontier answers
-    #: served without a decode (lazy records and structure-only
-    #: traversals).  Summed over workers for processes.
-    records_decoded: int = 0
-    decodes_avoided: int = 0
     #: Per-worker resource usage mappings when the scenario ran as
     #: monitored OS processes (see :class:`repro.obs.ResourceMonitor`).
     worker_resources: List[Dict[str, object]] = field(default_factory=list)
@@ -858,20 +848,10 @@ class ScenarioReport:
         return total
 
     @property
-    def busy_retries(self) -> int:
-        """Lock collisions retried, summed over all clients."""
-        return sum(client.busy_retries for client in self.clients)
-
-    @property
-    def busy_wait_seconds(self) -> float:
-        """Time spent backing off on locks, summed over all clients."""
-        return sum(client.busy_wait_seconds for client in self.clients)
-
-    @property
-    def remote_reads(self) -> int:
-        """Shard-crossing reads and frontier edges, summed over clients
-        (0 unless the backend shards the oid space)."""
-        return sum(client.remote_reads for client in self.clients)
+    def counters(self) -> EngineCounters:
+        """Every client's engine counters, merged."""
+        return EngineCounters().merge(
+            *(client.counters for client in self.clients))
 
     @property
     def read_misses(self) -> int:
@@ -909,14 +889,15 @@ class ScenarioReport:
             open_loop = (f", offered {self.offered_rate:g} op/s "
                          f"({self.arrival_mode}), {self.late_starts} "
                          f"late starts, backlog <= {self.max_backlog}")
+        counters = self.counters
         return (f"scenario {self.scenario_name!r}: {self.client_count} "
                 f"clients ({self.mode}) on {self.backend_name!r}, "
                 f"{self.total_operations} ops "
                 f"({self.write_operations} writes) in "
                 f"{self.elapsed_seconds:.3f} s "
                 f"({self.throughput:.1f} op/s), "
-                f"{self.busy_retries} busy retries, "
-                f"{self.remote_reads} remote reads, "
+                f"{counters.busy_retries} busy retries, "
+                f"{counters.remote_reads} remote reads, "
                 f"{self.write_conflicts} write conflicts"
                 f"{open_loop}")
 
@@ -932,12 +913,7 @@ class ScenarioReport:
             "throughput": self.throughput,
             "operations": self.total_operations,
             "write_operations": self.write_operations,
-            "busy_retries": self.busy_retries,
-            "busy_wait_seconds": self.busy_wait_seconds,
-            "remote_reads": self.remote_reads,
-            "sql_round_trips": self.sql_round_trips,
-            "records_decoded": self.records_decoded,
-            "decodes_avoided": self.decodes_avoided,
+            **self.counters.to_dict(),
             "read_misses": self.read_misses,
             "write_conflicts": self.write_conflicts,
             "late_starts": self.late_starts,
@@ -948,6 +924,34 @@ class ScenarioReport:
             "cold": self.merged_cold.to_dict(),
             "per_client": [client.to_dict() for client in self.clients],
         }
+
+
+def client_reports(executors: Sequence["ClientExecutor"],
+                   cold: Sequence[ScenarioCollector],
+                   warm: Sequence[ScenarioCollector],
+                   engine: object,
+                   **per_client: Sequence[object]
+                   ) -> List[ClientScenarioReport]:
+    """One :class:`ClientScenarioReport` per executor of a finished run.
+
+    Every run path (in-process, open-loop, worker process) builds its
+    client reports here, under one attribution rule: each client
+    carries the counters of the engine it drove.  Executors that shared
+    one engine (an in-process run) attribute all of it to the first
+    client, so the per-client counters always sum to the engines'.
+    ``per_client`` maps further report fields to one value per executor.
+    """
+    counters = getattr(engine, "counters", EngineCounters)()
+    return [ClientScenarioReport(
+                client_id=executor.client_id,
+                cold=cold[index].phase,
+                warm=warm[index].phase,
+                read_misses=executor.read_misses,
+                write_conflicts=executor.write_conflicts,
+                counters=counters if index == 0 else EngineCounters(),
+                **{name: values[index]
+                   for name, values in per_client.items()})
+            for index, executor in enumerate(executors)]
 
 
 # ---------------------------------------------------------------------- #
@@ -1321,8 +1325,8 @@ class ClientExecutor:
 
         Frontiers expand via :meth:`Session.traverse_refs_many`: SQLite
         engines answer each hop in one set-oriented round trip that
-        decodes only the reference vectors (counted under the engine's
-        ``decodes_avoided``); everywhere else the backend's
+        decodes only the reference vectors (counted as avoided decodes
+        in the engine's counters); everywhere else the backend's
         read-and-filter loop runs.  Depth and ``max_visits`` bound the
         walk exactly like the transaction classes; the touched count is
         the number of distinct objects whose structure was visited.
@@ -1513,56 +1517,24 @@ class ScenarioRunner:
         cold = [ScenarioCollector("cold") for _ in executors]
         warm = [ScenarioCollector("warm") for _ in executors]
         started = time.perf_counter()
-        if trace.enabled:
-            with trace.span("scenario.phase", phase="cold",
-                            scenario=self.mix.name):
-                for _ in range(scenario.cold_ops):
-                    for executor, collector in zip(executors, cold):
+        for phase, operations, collectors in (
+                ("cold", scenario.cold_ops, cold),
+                ("warm", scenario.warm_ops, warm)):
+            span = trace.span("scenario.phase", phase=phase,
+                              scenario=self.mix.name) \
+                if trace.enabled else nullcontext()
+            with span:
+                for _ in range(operations):
+                    for executor, collector in zip(executors, collectors):
                         executor.step(collector)
-            with trace.span("scenario.phase", phase="warm",
-                            scenario=self.mix.name):
-                for _ in range(scenario.warm_ops):
-                    for executor, collector in zip(executors, warm):
-                        executor.step(collector)
-        else:
-            for _ in range(scenario.cold_ops):
-                for executor, collector in zip(executors, cold):
-                    executor.step(collector)
-            for _ in range(scenario.warm_ops):
-                for executor, collector in zip(executors, warm):
-                    executor.step(collector)
         elapsed = time.perf_counter() - started
-        clients = [
-            ClientScenarioReport(
-                client_id=executor.client_id,
-                cold=cold_collector.phase,
-                warm=warm_collector.phase,
-                read_misses=executor.read_misses,
-                write_conflicts=executor.write_conflicts)
-            for executor, cold_collector, warm_collector
-            in zip(executors, cold, warm)]
-        backend_name = getattr(engine, "name", type(engine).__name__)
-        stats = engine.stats() if hasattr(engine, "stats") else {}
-        if clients and stats.get("busy_retries"):
-            # A single shared connection cannot collide with itself, but
-            # surface whatever the engine accounted rather than hide it.
-            clients[0].busy_retries += int(stats["busy_retries"])
-            clients[0].busy_wait_seconds += float(
-                stats.get("busy_wait_seconds", 0.0) or 0.0)
-        if clients and stats.get("remote_reads"):
-            # One shared engine, one (optional) home shard: attribute
-            # the shard-crossing count like the busy counters above.
-            clients[0].remote_reads += int(stats["remote_reads"])
         return ScenarioReport(
             scenario_name=self.mix.name,
-            clients=clients,
-            backend_name=backend_name,
+            clients=client_reports(executors, cold, warm, engine),
+            backend_name=getattr(engine, "name", type(engine).__name__),
             mode="interleaved",
             elapsed_seconds=elapsed,
-            executed_parallel=False,
-            sql_round_trips=int(stats.get("sql_round_trips", 0) or 0),
-            records_decoded=int(stats.get("records_decoded", 0) or 0),
-            decodes_avoided=int(stats.get("decodes_avoided", 0) or 0))
+            executed_parallel=False)
 
     # -- process execution ------------------------------------------------ #
 
@@ -1600,30 +1572,16 @@ class ScenarioRunner:
             backend_options=dict(scenario.backend_options),
             batch=scenario.batch, mix=self.mix)
         parallel_report = runner.run()
-        clients = [worker.scenario_report
-                   for worker in parallel_report.workers
-                   if worker.scenario_report is not None]
-        sql_round_trips = sum(
-            int((worker.backend_stats or {}).get("sql_round_trips", 0) or 0)
-            for worker in parallel_report.workers)
-        records_decoded = sum(
-            int((worker.backend_stats or {}).get("records_decoded", 0) or 0)
-            for worker in parallel_report.workers)
-        decodes_avoided = sum(
-            int((worker.backend_stats or {}).get("decodes_avoided", 0) or 0)
-            for worker in parallel_report.workers)
         worker_resources = [
             dict(worker.resource_usage, worker=worker.worker_id)
             for worker in parallel_report.workers
             if worker.resource_usage]
         return ScenarioReport(
             scenario_name=self.mix.name,
-            clients=clients,
+            clients=[worker.scenario_report
+                     for worker in parallel_report.workers],
             backend_name=parallel_report.backend_name,
             mode=parallel_report.mode,
             elapsed_seconds=parallel_report.elapsed_seconds,
             executed_parallel=parallel_report.executed_parallel,
-            sql_round_trips=sql_round_trips,
-            records_decoded=records_decoded,
-            decodes_avoided=decodes_avoided,
             worker_resources=worker_resources)

@@ -225,12 +225,9 @@ def _cell_dict(cell: MatrixCell, report: ScenarioReport,
         "wall_p50_ms": warm.p50 * 1e3,
         "wall_p95_ms": warm.p95 * 1e3,
         "wall_p99_ms": warm.p99 * 1e3,
-        "busy_retries": report.busy_retries,
-        "busy_wait_seconds": report.busy_wait_seconds,
-        "remote_reads": report.remote_reads,
+        **report.counters.to_dict(),
         "read_misses": report.read_misses,
         "write_conflicts": report.write_conflicts,
-        "sql_round_trips": report.sql_round_trips,
         "cpu_seconds": cpu,
         "cpu_utilization": usage.cpu_utilization,
         "peak_rss_kb": peak_rss,

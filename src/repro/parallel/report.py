@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List
 
+from repro.backends.base import EngineCounters
 from repro.core.metrics import LatencyPercentiles, PhaseReport
 from repro.multiuser.runner import MultiUserReport
 from repro.parallel.spec import WorkerResult
@@ -94,38 +95,22 @@ class ParallelReport:
         return self.total_transactions / self.elapsed_seconds
 
     @property
-    def busy_retries(self) -> int:
-        """Lock collisions retried, summed over all workers."""
-        return sum(worker.busy_retries for worker in self.workers)
-
-    @property
-    def busy_wait_seconds(self) -> float:
-        """Time spent backing off on locks, summed over all workers."""
-        return sum(worker.busy_wait_seconds for worker in self.workers)
-
-    @property
-    def decodes_avoided(self) -> int:
-        """Record decodes skipped (lazy reads + structure-only frontier
-        answers), summed over every worker's engine stats."""
-        return sum(int((worker.backend_stats or {})
-                       .get("decodes_avoided", 0) or 0)
-                   for worker in self.workers)
-
-    # -- scenario-mix aggregates (zero for classic read-only runs) ------- #
+    def counters(self) -> EngineCounters:
+        """Every worker's engine counters, merged."""
+        return EngineCounters().merge(
+            *(worker.counters for worker in self.workers))
 
     @property
     def read_misses(self) -> int:
         """Tolerated reads of rows a concurrent worker deleted."""
         return sum(worker.scenario_report.read_misses
-                   for worker in self.workers
-                   if worker.scenario_report is not None)
+                   for worker in self.workers)
 
     @property
     def write_conflicts(self) -> int:
         """Tolerated write-backs to rows a concurrent worker deleted."""
         return sum(worker.scenario_report.write_conflicts
-                   for worker in self.workers
-                   if worker.scenario_report is not None)
+                   for worker in self.workers)
 
     def describe(self) -> str:
         """One line: workers, mode, throughput, contention."""
@@ -135,4 +120,4 @@ class ParallelReport:
                 f"{self.backend_name!r}: {self.total_transactions} txns "
                 f"in {self.elapsed_seconds:.3f} s "
                 f"({self.throughput:.1f} txn/s), "
-                f"{self.busy_retries} busy retries")
+                f"{self.counters.busy_retries} busy retries")

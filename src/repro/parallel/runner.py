@@ -37,6 +37,7 @@ from repro.backends import create_backend
 from repro.backends.registry import backend_info
 from repro.core.database import OCBDatabase
 from repro.core.parameters import WorkloadParameters
+from repro.core.scenario import WorkloadMix
 from repro.errors import BackendError, WorkloadError
 from repro.parallel.pool import ProcessPool
 from repro.parallel.report import ParallelReport
@@ -103,7 +104,7 @@ class ParallelRunner:
                  store_config: Optional[StoreConfig] = None,
                  backend_options: Optional[Dict[str, object]] = None,
                  batch: Optional[bool] = None,
-                 mix: "Optional[object]" = None) -> None:
+                 mix: Optional[WorkloadMix] = None) -> None:
         if not isinstance(backend, str):
             raise WorkloadError(
                 "ParallelRunner needs a registered backend name; live "
@@ -117,11 +118,11 @@ class ParallelRunner:
         self.store_config = store_config
         self.backend_options = dict(backend_options or {})
         self.batch = batch
-        #: Optional :class:`~repro.core.scenario.WorkloadMix` — threaded
-        #: through every :class:`WorkerSpec` so the workers execute a
-        #: declarative scenario (possibly mutating) instead of the
-        #: classic read-only transaction protocol.
-        self.mix = mix
+        #: The :class:`~repro.core.scenario.WorkloadMix` every worker
+        #: executes — by default the Table 2 transaction mix of
+        #: *parameters*, the classic read-only protocol.
+        self.mix = mix if mix is not None \
+            else WorkloadMix.from_workload_parameters(parameters)
         path = self.backend_options.get("path")
         capabilities = _backend_capabilities(self.backend)
         self.shared = ("concurrent" in capabilities and path != ":memory:")

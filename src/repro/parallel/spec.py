@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.backends.base import EngineCounters
 from repro.core.database import OCBDatabase
 from repro.core.parameters import WorkloadParameters
 from repro.core.scenario import ClientScenarioReport, WorkloadMix
@@ -118,10 +119,9 @@ class WorkerSpec:
     #: (engines without the ``concurrent`` capability).
     shared: bool = False
     batch: Optional[bool] = None
-    #: Declarative scenario mix to execute instead of the classic
-    #: transaction protocol.  ``None`` keeps the legacy read-only path;
-    #: a :class:`~repro.core.scenario.WorkloadMix` makes the worker a
-    #: scenario client: ``parameters.clients`` is the partition width,
+    #: The :class:`~repro.core.scenario.WorkloadMix` this scenario
+    #: client executes (:class:`~repro.parallel.runner.ParallelRunner`
+    #: always sets it): ``parameters.clients`` is the partition width,
     #: ``parameters.cold_n``/``hot_n`` the protocol sizes, and mutating
     #: mixes on shared storage run with tolerant write-backs (see the
     #: scenario module docs).
@@ -157,7 +157,7 @@ class WorkerSpec:
 
 @dataclass
 class WorkerResult:
-    """One worker's report, timing and contention counters."""
+    """One worker's report, timing and engine counters."""
 
     client_id: int
     pid: int
@@ -166,11 +166,10 @@ class WorkerResult:
     wall_seconds: float
     #: Wall-clock of connecting/loading before the protocol started.
     setup_seconds: float
-    busy_retries: int = 0
-    busy_wait_seconds: float = 0.0
+    #: The counters of the engine this worker drove.
+    counters: EngineCounters = field(default_factory=EngineCounters)
     backend_stats: Dict[str, object] = field(default_factory=dict)
-    #: Per-operation-class scenario breakdown — set when the spec
-    #: carried a :class:`~repro.core.scenario.WorkloadMix`.
+    #: Per-operation-class scenario breakdown (every worker sets it).
     scenario_report: Optional[ClientScenarioReport] = None
     #: This worker's sampled CPU/RSS usage
     #: (:meth:`repro.obs.ResourceUsage.to_dict` shape) — set when the

@@ -19,6 +19,7 @@ from repro.reporting.scaling import (
 from repro.reporting.scenario import (
     render_scenario_classes,
     render_scenario_clients,
+    render_scenario_counters,
     render_scenario_report,
 )
 from repro.reporting.figures import (
@@ -52,6 +53,7 @@ __all__ = [
     "render_parallel_workers",
     "render_scenario_classes",
     "render_scenario_clients",
+    "render_scenario_counters",
     "render_scenario_report",
     "render_bench_cells",
     "render_bench_comparison",

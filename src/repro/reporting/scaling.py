@@ -44,6 +44,7 @@ class ScalingPoint:
 def summarize_parallel_run(report: ParallelReport) -> ScalingPoint:
     """Fold one :class:`ParallelReport` into a sweep row."""
     warm = report.warm_wall_percentiles
+    counters = report.counters
     return ScalingPoint(
         workers=report.worker_count,
         backend=report.backend_name,
@@ -55,8 +56,8 @@ def summarize_parallel_run(report: ParallelReport) -> ScalingPoint:
         warm_p50_ms=warm.p50 * 1e3,
         warm_p95_ms=warm.p95 * 1e3,
         warm_p99_ms=warm.p99 * 1e3,
-        busy_retries=report.busy_retries,
-        busy_wait_seconds=report.busy_wait_seconds)
+        busy_retries=counters.busy_retries,
+        busy_wait_seconds=counters.busy_wait_seconds)
 
 
 def render_scaling_sweep(points: Sequence[ScalingPoint],
@@ -104,7 +105,7 @@ def render_parallel_workers(report: ParallelReport,
         rows.append([worker.client_id, worker.pid, warm.count,
                      warm.visits_per_transaction, wall.p50 * 1e3,
                      wall.p95 * 1e3, wall.p99 * 1e3,
-                     worker.busy_retries, worker.wall_seconds])
+                     worker.counters.busy_retries, worker.wall_seconds])
     merged = report.merged_warm.totals
     merged_wall = report.warm_wall_percentiles
     # The merged wall cell sums the workers' protocol walls (same
@@ -112,7 +113,7 @@ def render_parallel_workers(report: ParallelReport,
     # pickling and setup included — is reported by describe().
     rows.append(["all", "-", merged.count, merged.visits_per_transaction,
                  merged_wall.p50 * 1e3, merged_wall.p95 * 1e3,
-                 merged_wall.p99 * 1e3, report.busy_retries,
+                 merged_wall.p99 * 1e3, report.counters.busy_retries,
                  sum(worker.wall_seconds for worker in report.workers)])
     return render_table(
         ["worker", "pid", "warm txns", "objects/txn", "P50 (ms)",

@@ -15,7 +15,7 @@ from repro.core.scenario import ScenarioReport
 from repro.reporting.tables import render_table
 
 __all__ = ["render_scenario_classes", "render_scenario_clients",
-           "render_scenario_report"]
+           "render_scenario_counters", "render_scenario_report"]
 
 
 def render_scenario_classes(report: ScenarioReport,
@@ -43,22 +43,32 @@ def render_scenario_clients(report: ScenarioReport,
         rows.append([client.client_id,
                      client.pid if client.pid is not None else "-",
                      warm.count, warm.objects_per_op, wall.p95 * 1e3,
-                     client.busy_retries, client.busy_wait_seconds,
                      client.late_starts, client.max_backlog,
-                     client.remote_reads,
                      client.write_conflicts, client.read_misses])
     merged = report.merged_warm.totals
     merged_wall = report.merged_warm.wall_percentiles()
     rows.append(["all", "-", merged.count, merged.objects_per_op,
-                 merged_wall.p95 * 1e3, report.busy_retries,
-                 report.busy_wait_seconds, report.late_starts,
-                 report.max_backlog,
-                 report.remote_reads, report.write_conflicts,
+                 merged_wall.p95 * 1e3, report.late_starts,
+                 report.max_backlog, report.write_conflicts,
                  report.read_misses])
     return render_table(
         ["client", "pid", "warm ops", "objects/op", "P95 (ms)",
-         "busy retries", "busy wait (s)", "late starts", "backlog",
-         "remote reads", "write conflicts", "read misses"],
+         "late starts", "backlog", "write conflicts", "read misses"],
+        rows, title=title, precision=3)
+
+
+def render_scenario_counters(report: ScenarioReport,
+                             title: Optional[str] = None) -> str:
+    """Every engine counter, one row per client plus the merged row."""
+    if title is None:
+        title = f"Engine counters on {report.backend_name!r}"
+    merged = report.counters.to_dict()
+    rows: List[List[object]] = [
+        [client.client_id, *client.counters.to_dict().values()]
+        for client in report.clients]
+    rows.append(["all", *merged.values()])
+    return render_table(
+        ["client", *(name.replace("_", " ") for name in merged)],
         rows, title=title, precision=3)
 
 
@@ -68,6 +78,8 @@ def render_scenario_report(report: ScenarioReport) -> str:
         render_scenario_classes(report),
         "",
         render_scenario_clients(report),
+        "",
+        render_scenario_counters(report),
         "",
         report.describe(),
     ])

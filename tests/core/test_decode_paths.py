@@ -41,7 +41,7 @@ def _structure_scenario(**overrides):
 class TestStructureTraversal:
     def test_counts_land_in_the_report(self, small_database):
         report = ScenarioRunner(small_database, _structure_scenario()).run()
-        assert report.decodes_avoided > 0
+        assert report.counters.decodes_avoided > 0
         rows = {row[0] for row in report.merged_warm.rows()}
         assert "structure_traversal" in rows
 
@@ -79,8 +79,8 @@ class TestStructureTraversal:
     def test_report_dict_carries_decode_counters(self, small_database):
         report = ScenarioRunner(small_database, _structure_scenario()).run()
         spec = report.to_dict()
-        assert spec["decodes_avoided"] == report.decodes_avoided
-        assert spec["records_decoded"] == report.records_decoded
+        assert spec["decodes_avoided"] == report.counters.decodes_avoided
+        assert spec["records_decoded"] == report.counters.records_decoded
 
 
 class TestLazySession:
@@ -128,8 +128,8 @@ class TestLazySession:
         assert sqlite.total_operations == memory.total_operations
         assert sqlite.merged_warm.totals.objects \
             == memory.merged_warm.totals.objects
-        assert sqlite.records_decoded == 0
-        assert sqlite.decodes_avoided > 0
+        assert sqlite.counters.records_decoded == 0
+        assert sqlite.counters.decodes_avoided > 0
 
     def test_lazy_spec_key_is_rejected(self):
         spec = _structure_scenario().to_dict()
@@ -149,8 +149,8 @@ class TestLazySession:
                 MixEntry("simple", weight=1.0, depth=2))))
         runner = ScenarioRunner(small_database, scenario)
         report = runner.run_processes(config=ParallelConfig(parallel=False))
-        assert report.decodes_avoided > 0
-        assert report.records_decoded == 0
+        assert report.counters.decodes_avoided > 0
+        assert report.counters.records_decoded == 0
 
 
 class TestGraphWalkPreset:
@@ -165,4 +165,4 @@ class TestGraphWalkPreset:
         scenario = replace(scenario_preset("graph_walk"),
                            cold_ops=3, warm_ops=12, seed=5)
         report = ScenarioRunner(small_database, scenario).run()
-        assert report.decodes_avoided > 0
+        assert report.counters.decodes_avoided > 0

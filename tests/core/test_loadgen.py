@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.backends.memory import MemoryBackend
+from repro.backends.sqlite import SQLiteBackend
 from repro.core.loadgen import (ArrivalSchedule, OpenLoopRunner, annotate_knee,
                                 find_knee, merged_arrivals, pace,
                                 run_load_sweep)
@@ -278,6 +279,19 @@ class TestOpenLoopRunner:
         for field in ("response_p999_ms", "service_p95_ms",
                       "wait_mean_ms", "late_starts", "max_backlog"):
             assert field in cell
+
+    def test_report_carries_the_engine_decode_counters(self, small_database,
+                                                       memory_scenario):
+        engine = SQLiteBackend()
+        scenario = dataclasses.replace(memory_scenario, backend="sqlite")
+        document = OpenLoopRunner(small_database, scenario, rate=5000.0,
+                                  operations=40, seed=7,
+                                  store=engine).run().scenario.to_dict()
+        stats = engine.stats()
+        assert stats["decodes_avoided"] > 0
+        assert document["decodes_avoided"] == stats["decodes_avoided"]
+        assert document["records_decoded"] == stats["records_decoded"] == 0
+        engine.close()
 
     def test_rate_validation(self, small_database, memory_scenario):
         with pytest.raises(ParameterError):

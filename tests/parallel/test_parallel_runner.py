@@ -292,32 +292,34 @@ class TestParallelReport:
         assert "workers" in text and "busy retries" in text
 
     def test_contention_counters_aggregate(self, report):
-        assert report.busy_retries == \
-            sum(worker.busy_retries for worker in report.workers)
-        assert report.busy_wait_seconds >= 0.0
+        assert report.counters.busy_retries == \
+            sum(worker.counters.busy_retries for worker in report.workers)
+        assert report.counters.busy_wait_seconds >= 0.0
 
 
-def _worker_result(client_id, stats):
+def _worker_result(client_id, counters):
     from repro.parallel.spec import WorkerResult
     return WorkerResult(client_id=client_id, pid=1000 + client_id,
                         report=None, wall_seconds=0.1, setup_seconds=0.01,
-                        backend_stats=stats)
+                        counters=counters)
 
 
 def test_parallel_report_sums_decodes_avoided():
+    from repro.backends.base import EngineCounters
     from repro.parallel.report import ParallelReport
     report = ParallelReport(workers=[
-        _worker_result(0, {"decodes_avoided": 30}),
-        _worker_result(1, {"decodes_avoided": 12}),
-        _worker_result(2, {}),  # an engine that never avoids a decode
+        _worker_result(0, EngineCounters(decodes_avoided=30)),
+        _worker_result(1, EngineCounters(decodes_avoided=12)),
+        # An engine that never avoids a decode.
+        _worker_result(2, EngineCounters()),
     ])
-    assert report.decodes_avoided == 42
+    assert report.counters.decodes_avoided == 42
 
 
 def test_parallel_report_counters_default_to_zero():
     from repro.parallel.report import ParallelReport
     report = ParallelReport(workers=[])
-    assert report.decodes_avoided == 0
+    assert report.counters.decodes_avoided == 0
 
 
 def test_run_processes_reads_decode_free(tmp_path):
@@ -339,6 +341,6 @@ def test_run_processes_reads_decode_free(tmp_path):
     # deterministic in CI while still exercising the spec plumbing.
     report = ScenarioRunner(database, scenario).run_processes(
         config=ParallelConfig(parallel=False))
-    assert report.decodes_avoided > 0
-    assert report.records_decoded == 0
+    assert report.counters.decodes_avoided > 0
+    assert report.counters.records_decoded == 0
     assert report.total_operations == 2 * 7

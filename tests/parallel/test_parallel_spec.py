@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.backends.base import EngineCounters
 from repro.core.metrics import PhaseReport
 from repro.core.workload import WorkloadReport
 from repro.errors import ParameterError
@@ -70,15 +71,16 @@ class TestWorkerResult:
         result = WorkerResult(client_id=0, pid=123, report=report,
                               wall_seconds=0.5, setup_seconds=0.1)
         assert result.transactions == 0
-        assert result.busy_retries == 0
+        assert result.counters.busy_retries == 0
 
     def test_round_trips_through_pickle(self):
         report = WorkloadReport(cold=PhaseReport(name="cold"),
                                 warm=PhaseReport(name="warm"))
         result = WorkerResult(client_id=1, pid=99, report=report,
                               wall_seconds=1.0, setup_seconds=0.2,
-                              busy_retries=3, busy_wait_seconds=0.01,
+                              counters=EngineCounters(
+                                  busy_retries=3, busy_wait_seconds=0.01),
                               backend_stats={"journal_mode": "wal"})
         clone = pickle.loads(pickle.dumps(result))
-        assert clone.busy_retries == 3
+        assert clone.counters.busy_retries == 3
         assert clone.backend_stats["journal_mode"] == "wal"

@@ -87,12 +87,12 @@ class TestBusyRetriesFire:
     def test_processes_record_busy_retries(self, process_report):
         if not process_report.executed_parallel:
             pytest.skip("worker processes unavailable in this environment")
-        assert process_report.busy_retries > 0
-        assert process_report.busy_wait_seconds > 0.0
+        assert process_report.counters.busy_retries > 0
+        assert process_report.counters.busy_wait_seconds > 0.0
 
     def test_in_process_records_zero(self, interleaved_report):
         assert interleaved_report.mode == "interleaved"
-        assert interleaved_report.busy_retries == 0
+        assert interleaved_report.counters.busy_retries == 0
 
 
 class TestLogicalDeterminism:

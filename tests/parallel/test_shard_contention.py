@@ -93,8 +93,8 @@ class TestAlignedLanes:
     def test_zero_lock_collisions(self, aligned_report):
         # Deterministic, not probabilistic: disjoint writer lanes mean
         # no two workers ever hold the same shard's write lock.
-        assert aligned_report.busy_retries == 0
-        assert aligned_report.busy_wait_seconds == 0.0
+        assert aligned_report.counters.busy_retries == 0
+        assert aligned_report.counters.busy_wait_seconds == 0.0
 
 
 class TestMisalignedLanes:
