@@ -70,6 +70,26 @@ class OCBDatabase:
         self._class_of: Dict[int, int] = {
             oid: obj.cid for oid, obj in objects.items()}
 
+    def clone(self) -> "OCBDatabase":
+        """An independent copy of the graph, for a client's private view.
+
+        A flat copy: every object gets its own ``oref`` and
+        ``back_refs`` lists (their elements are ints and tuples), and the
+        catalog and class iterators are copied.  The parameters are
+        immutable and shared.  Mutating the copy through
+        :meth:`add_object`, :meth:`remove_object` or an object's
+        reference lists leaves this database untouched.
+        """
+        twin = OCBDatabase.__new__(OCBDatabase)
+        twin.schema = self.schema.clone()
+        twin.objects = {
+            oid: OCBObject(oid, obj.cid, list(obj.oref),
+                           list(obj.back_refs))
+            for oid, obj in self.objects.items()}
+        twin.parameters = self.parameters
+        twin._class_of = dict(self._class_of)
+        return twin
+
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #

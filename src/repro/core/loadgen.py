@@ -28,7 +28,6 @@ same seed replays the same arrival process at every offered rate.
 
 from __future__ import annotations
 
-import copy
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -366,7 +365,7 @@ def run_load_sweep(database: OCBDatabase, scenario: Scenario,
                    ) -> Dict[str, object]:
     """Sweep offered rates, detect the knee, predict waits with the DES.
 
-    Each rate runs against a pristine deepcopy of *database* (mutating
+    Each rate runs against a pristine clone of *database* (mutating
     mixes must not let one rate's inserts warp the next rate's graph —
     the same discipline the bench matrix uses).  When ``predict`` is
     set, every measured rate is replayed through
@@ -388,7 +387,7 @@ def run_load_sweep(database: OCBDatabase, scenario: Scenario,
         if progress is not None:
             progress(f"rate {rate:g} op/s "
                      f"({index + 1}/{len(unique)}) ...")
-        pristine = copy.deepcopy(database)
+        pristine = database.clone()
         store = store_factory() if store_factory is not None else None
         runner = OpenLoopRunner(pristine, scenario, rate,
                                 operations=operations, mode=mode,

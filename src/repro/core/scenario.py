@@ -47,8 +47,9 @@ could not express — partition the object space by client
   insert the same oid;
 * every client's *logical* decisions (which operations, which objects,
   how many records dirtied) derive from a private replica of the object
-  graph that evolves only with the client's own mutations — so the
-  logical metrics of a ``write_heavy`` scenario are deterministic
+  graph (an :meth:`~repro.core.database.OCBDatabase.clone` of the
+  generated one) that evolves only with the client's own mutations — so
+  the logical metrics of a ``write_heavy`` scenario are deterministic
   functions of (seed, client id) alone, identical in-process and across
   OS processes;
 * the *physical* writes all land in the one shared engine, which is
@@ -62,12 +63,13 @@ could not express — partition the object space by client
 
 from __future__ import annotations
 
-import copy
 import json
 import time
+from bisect import bisect_left, insort
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -155,6 +157,13 @@ _DEFAULT_DEPTHS = {"set": 3, "simple": 3, "hierarchy": 5, "stochastic": 50,
 def attribute_of(oid: int) -> int:
     """The synthetic ``hundred``-style attribute of an object (0..99)."""
     return ((oid * 2654435761) & 0xFFFFFFFF) % 100
+
+
+def _discard_sorted(values: List[int], oid: int) -> None:
+    """Remove *oid* from the sorted list *values* if it is there."""
+    index = bisect_left(values, oid)
+    if index < len(values) and values[index] == oid:
+        del values[index]
 
 
 class GenericOperation(str, Enum):
@@ -1007,8 +1016,11 @@ class ClientExecutor:
         self.rng = rng
         self.read_misses = 0
         self.write_conflicts = 0
-        self._live_cache: Optional[List[int]] = None
-        self._owned_cache: Optional[List[int]] = None
+        # Partition indexes, each built on first use from ``view`` and
+        # then kept sorted through this client's inserts and deletes.
+        self._live: Optional[List[int]] = None
+        self._owned: Optional[List[int]] = None
+        self._buckets: Optional[List[List[int]]] = None
         self._dispatch: Dict[str, Callable[[MixEntry], OperationResult]] = {
             "insert": lambda entry: self.op_insert(),
             "update": lambda entry: self.op_update(),
@@ -1028,30 +1040,53 @@ class ClientExecutor:
             return True
         return oid % self.total_clients == self.client_id
 
-    def _invalidate_caches(self) -> None:
-        self._live_cache = None
-        self._owned_cache = None
-
     def _live_sorted(self) -> List[int]:
         """Every live oid of the view, sorted (transaction-root domain)."""
-        if self._live_cache is None:
-            self._live_cache = sorted(self.view.objects)
-        return self._live_cache
+        if self._live is None:
+            self._live = sorted(self.view.objects)
+        return self._live
 
     def _owned_sorted(self) -> List[int]:
         """The client's mutable oids, sorted (victim-selection domain)."""
         if not self.partitioned:
             return self._live_sorted()
-        if self._owned_cache is None:
-            self._owned_cache = [oid for oid in self._live_sorted()
-                                 if self._owns(oid)]
-        return self._owned_cache
+        if self._owned is None:
+            self._owned = [oid for oid in self._live_sorted()
+                           if self._owns(oid)]
+        return self._owned
+
+    def _attribute_buckets(self) -> List[List[int]]:
+        """The client's mutable oids, sorted, one list per attribute value."""
+        if self._buckets is None:
+            buckets: List[List[int]] = [[] for _ in range(100)]
+            for oid in self._owned_sorted():
+                buckets[attribute_of(oid)].append(oid)
+            self._buckets = buckets
+        return self._buckets
+
+    def _reindex(self, oid: int,
+                 apply: Callable[[List[int], int], None]) -> None:
+        """Apply ``insort`` (an insert) or ``_discard_sorted`` (a delete)
+        for *oid* to every index built so far."""
+        if self._live is not None:
+            apply(self._live, oid)
+        if not self._owns(oid):
+            return
+        if self._owned is not None:
+            apply(self._owned, oid)
+        if self._buckets is not None:
+            apply(self._buckets[attribute_of(oid)], oid)
 
     def _next_oid(self) -> int:
-        """The next fresh oid in this client's allocation lane."""
+        """The next fresh oid in this client's allocation lane.
+
+        One above the view's largest live oid, so a deleted largest oid
+        may be taken again; partitioned clients round up into their lane.
+        """
+        live = self._live_sorted()
+        floor = (live[-1] if live else 0) + 1
         if not self.partitioned:
-            return self.view.next_oid
-        floor = max(self.view.objects, default=0) + 1
+            return floor
         return floor + (self.client_id - floor) % self.total_clients
 
     def _busy_retries(self) -> int:
@@ -1082,15 +1117,9 @@ class ClientExecutor:
                 break
         return chosen
 
-    def _owned_count(self) -> int:
-        """Live objects in the client's mutable partition."""
-        if not self.partitioned:
-            return len(self.view.objects)
-        return len(self._owned_sorted())
-
     def _guarded(self, entry: MixEntry) -> MixEntry:
         """The legacy keep-the-database-populated guard, per partition."""
-        if entry.kind == "delete" and self._owned_count() <= 1:
+        if entry.kind == "delete" and len(self._owned_sorted()) <= 1:
             return MixEntry(kind="insert")
         return entry
 
@@ -1202,7 +1231,7 @@ class ClientExecutor:
             obj = OCBObject(oid=oid, cid=cid,
                             oref=[None] * descriptor.max_nref)
             self.view.add_object(obj)
-            self._invalidate_caches()
+            self._reindex(oid, insort)
             dirty: Dict[int, None] = {}
             low, high = params.object_ref_bounds(
                 min(oid, params.num_objects or oid))
@@ -1281,7 +1310,7 @@ class ClientExecutor:
                     source_obj.oref[index] = None
                     dirty[source] = None
             self.view.remove_object(victim_oid)
-            self._invalidate_caches()
+            self._reindex(victim_oid, _discard_sorted)
             self._write_dirty(dirty)
             self._store_delete(victim_oid)
             self.session.flush()
@@ -1293,13 +1322,17 @@ class ClientExecutor:
         """Fetch every owned object whose attribute is in [low, low+width)."""
         if not 1 <= width <= 100:
             raise WorkloadError(f"width must be in [1, 100], got {width}")
+        start = low if low is not None \
+            else self.rng.randint(0, 100 - width)
+        # The view iterates in ascending oid order (generation numbers
+        # oids upwards and every insert takes one above the maximum), so
+        # the sorted union of the buckets is the view-order match set.
+        buckets = self._attribute_buckets()
+        matches = sorted(chain.from_iterable(
+            buckets[value]
+            for value in range(max(start, 0), min(start + width, 100))))
 
         def body() -> int:
-            start = low if low is not None \
-                else self.rng.randint(0, 100 - width)
-            matches = [oid for oid in self.view.objects
-                       if self._owns(oid)
-                       and start <= attribute_of(oid) < start + width]
             # The whole match set in one round trip on batched engines.
             self.session.prefetch(matches)
             for match in matches:
@@ -1310,8 +1343,10 @@ class ClientExecutor:
     def op_sequential_scan(self) -> OperationResult:
         """Visit every owned object in physical order."""
         def body() -> int:
-            order = [oid for oid in self.session.current_order()
-                     if self._owns(oid)]
+            order = self.session.current_order()
+            if self.partitioned:
+                lanes, lane = self.total_clients, self.client_id
+                order = [oid for oid in order if oid % lanes == lane]
             for start in range(0, len(order), _SCAN_BATCH):
                 chunk = order[start:start + _SCAN_BATCH]
                 self.session.prefetch(chunk)
@@ -1489,14 +1524,15 @@ class ScenarioRunner:
         """One executor per client over the shared *engine*.
 
         Mutating multi-client scenarios give each client a private
-        replica of the object graph (its logical view — see the module
-        docs); read-only scenarios share the generated database.
+        replica of the object graph, a :meth:`OCBDatabase.clone` of the
+        generated database (its logical view — see the module docs);
+        read-only scenarios share the generated database.
         """
         scenario = self.scenario
         partitioned = scenario.partitioned
         executors = []
         for client in range(scenario.clients):
-            view = copy.deepcopy(self.database) if partitioned \
+            view = self.database.clone() if partitioned \
                 else self.database
             session = Session(engine, policy=self.policy,
                               tref_table=view.tref_table(),

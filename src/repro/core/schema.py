@@ -10,7 +10,7 @@ and the workload need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.parameters import ReferenceTypeSpec
@@ -75,6 +75,22 @@ class Schema:
                     raise GenerationError(
                         f"class {descriptor.cid} uses unknown reference "
                         f"type {type_id}")
+
+    def clone(self) -> "Schema":
+        """An independent copy: descriptors with their own lists.
+
+        The reference-type specs are immutable and shared.  Mutating the
+        copy's class iterators (inserts and deletes) leaves this schema
+        untouched.
+        """
+        twin = Schema.__new__(Schema)
+        twin._classes = {
+            cid: replace(descriptor, tref=list(descriptor.tref),
+                         cref=list(descriptor.cref),
+                         iterator=list(descriptor.iterator))
+            for cid, descriptor in self._classes.items()}
+        twin._types = dict(self._types)
+        return twin
 
     # ------------------------------------------------------------------ #
     # Lookups

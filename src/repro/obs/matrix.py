@@ -19,7 +19,6 @@ tolerance band, so CI gates regressions rather than machine noise.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -252,8 +251,8 @@ def run_matrix(spec: MatrixSpec,
     cells: List[Dict[str, object]] = []
     for cell in spec.cells():
         # Mutating scenarios write into their database view — every cell
-        # gets a pristine deep copy so cells cannot contaminate each other.
-        database = copy.deepcopy(pristine)
+        # gets a pristine clone so cells cannot contaminate each other.
+        database = pristine.clone()
         scenario = scenario_preset(cell.scenario)
         backend_options = dict(scenario.backend_options)
         if cell.shards is not None:

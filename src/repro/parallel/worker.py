@@ -17,10 +17,12 @@ Either way the worker is one scenario client of the spec's
 :class:`~repro.core.scenario.WorkloadMix`: its stream is drawn from the
 same Lewis–Payne substream (``client_id``-keyed) the in-process runners
 use, so the logical metrics are identical by construction — only the
-wall clock and the contention counters change.  The pickled database
-copy is its private logical view, mutating mixes partition the oid
-space by ``client_id`` (see :mod:`repro.core.scenario`), and the result
-carries the per-operation-class breakdown next to the classic report.
+wall clock and the contention counters change.  A mutating worker's
+private logical view is a clone of the spec's database (in-process
+fallback workers would otherwise share the caller's graph), mutating
+mixes partition the oid space by ``client_id`` (see
+:mod:`repro.core.scenario`), and the result carries the
+per-operation-class breakdown next to the classic report.
 This is how ``ocb scenario --processes N`` runs read/write mixes
 against one shared SQLite file where write-write collisions and busy
 retries genuinely occur.
@@ -63,13 +65,18 @@ def run_worker(spec: WorkerSpec) -> WorkerResult:
 
 def _run_worker(spec: WorkerSpec) -> WorkerResult:
     setup_start = time.perf_counter()
+    # A mutating client edits its logical view.  Under the sequential
+    # fallback ``spec.database`` is the caller's own graph, shared by
+    # every worker, so each mutating worker drives a private clone.
+    database = spec.database.clone() if spec.mix.mutates \
+        else spec.database
     backend_options = dict(spec.backend_options)
     if spec.home_shard is not None:
         # Sharded engines open this worker's connection set home-shard
         # first and account remote_reads/remote_writes against it.
         backend_options.setdefault("home_shard", spec.home_shard)
     session = Session.for_database(
-        spec.database, spec.backend,
+        database, spec.backend,
         store_config=spec.store_config,
         backend_options=backend_options,
         batch=spec.batch,
@@ -79,7 +86,7 @@ def _run_worker(spec: WorkerSpec) -> WorkerResult:
                    client=spec.client_id, shared=spec.shared)
     partitioned = spec.parameters.clients > 1 and spec.mix.mutates
     executor = ClientExecutor(
-        spec.database, spec.mix, session,
+        database, spec.mix, session,
         client_id=spec.client_id,
         total_clients=spec.parameters.clients,
         seed=spec.parameters.seed,
