@@ -12,6 +12,8 @@ contract that makes that concrete: anything that can
   batches (loop fallbacks here; engines with a native set-oriented
   access path override them — SQLite answers a whole BFS frontier with
   one ``IN``-clause query),
+* :meth:`~Backend.scan` one lane of the extent in physical order (a
+  read loop here; SQLite filters and reads in one pass),
 * :meth:`~Backend.traverse_refs` an object's outgoing references,
 * :meth:`~Backend.drop_caches` for honest cold runs, and
 * report :meth:`~Backend.stats`
@@ -206,6 +208,19 @@ class Backend(abc.ABC):
         """
         for record in records:
             self.write_object(record)
+
+    def scan(self, lanes: int = 1, lane: int = 0) -> List[StoredObject]:
+        """Every stored object with ``oid % lanes == lane``, in
+        :meth:`current_order` (the sequential scan's read path).
+
+        The fallback reads each oid of the filtered order with
+        :meth:`read_object`, so cost-model engines charge exactly the
+        per-object I/O of a hand-written loop; SQLite engines override
+        it with one physical-order pass that filters in the engine.
+        Records come back in the same form as from :meth:`read_object`.
+        """
+        return [self.read_object(oid) for oid in self.current_order()
+                if oid % lanes == lane]
 
     def traverse_refs(self, oid: int) -> Tuple[int, ...]:
         """Non-NIL forward references of *oid* (one graph hop).

@@ -17,6 +17,8 @@ protocol by fan-out over per-shard :class:`SQLiteBackend` instances:
 * :meth:`read_many` / :meth:`write_many` group oids by shard and issue
   one ``IN``-clause / ``executemany`` batch per *touched* shard, the
   home shard first;
+* :meth:`scan` runs each shard's one-pass lane scan and merges the
+  per-shard runs in oid order;
 * :meth:`traverse_refs_many` answers each shard's slice with that
   shard's structure-only blob query and counts frontier edges that
   leave the home shard as ``remote_reads``;
@@ -41,9 +43,11 @@ worker an independent connection *set*, opened home-shard-first.
 
 from __future__ import annotations
 
+import heapq
 import os
 import time
 from dataclasses import replace
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.backends.base import Backend, EngineCounters
@@ -209,6 +213,25 @@ class ShardedSQLiteBackend(Backend):
                        oids=len(unique), shards=len(groups))
         # First-occurrence order, like the base-class contract.
         return {oid: fetched[oid] for oid in unique}
+
+    def scan(self, lanes: int = 1, lane: int = 0) -> List[StoredObject]:
+        """Each shard's one-pass scan, home shard first, merged by oid.
+
+        Every shard hands back its lane in rowid (= oid) order, so a
+        k-way merge yields the global oid order :meth:`current_order`
+        gives; records read off the home shard count as remote reads.
+        """
+        started = time.perf_counter() if trace.enabled else 0.0
+        passes = []
+        for shard in self.connection_order:
+            records = self._engines[shard].scan(lanes, lane)
+            self._count_remote_read(shard, len(records))
+            passes.append(records)
+        merged = list(heapq.merge(*passes, key=attrgetter("oid")))
+        if trace.enabled:
+            trace.emit("sharded.scan", time.perf_counter() - started,
+                       lanes=lanes, lane=lane, records=len(merged))
+        return merged
 
     def _commit_shard(self, shard: int) -> None:
         """Commit one shard's write batch immediately.

@@ -19,7 +19,7 @@ ablations (``--buffer-pages``) carry over unchanged: a run with a
 All measurements are wall-clock — SQLite does its own paging, caching
 and journaling, which is exactly what the benchmark wants to observe.
 
-Three kernel hooks make the engine first-class under the unified
+These kernel hooks make the engine first-class under the unified
 :class:`~repro.core.session.Session` and the process-parallel harness:
 
 * **batched access** — :meth:`SQLiteBackend.read_many` answers a whole
@@ -30,6 +30,9 @@ Three kernel hooks make the engine first-class under the unified
 * **cold-cache control** — :meth:`SQLiteBackend.drop_caches` closes and
   reopens the connection (re-applying the pragmas) for file databases,
   and releases the pager cache in place for ``:memory:`` ones;
+* **engine-side sequential scans** — :meth:`SQLiteBackend.scan` reads
+  one lane of the table (``oid % lanes == lane``) in a single
+  rowid-order statement, the filter evaluated by SQLite;
 * **batched reference traversal** —
   :meth:`SQLiteBackend.traverse_refs_many` answers a whole BFS
   frontier's outgoing references with one ``IN``-clause query and a
@@ -270,6 +273,25 @@ class SQLiteBackend(Backend):
         if trace.enabled:
             trace.emit("sqlite.read_many",
                        time.perf_counter() - started, oids=len(unique))
+        return records
+
+    def scan(self, lanes: int = 1, lane: int = 0) -> List[StoredObject]:
+        """One rowid-order pass with the lane filter in SQL.
+
+        A single statement walks the table's leaf pages once and hands
+        back only the lane's blobs, each as a lazy record: no oid list
+        is materialised and no per-object B-tree seek is paid.
+        """
+        started = time.perf_counter() if trace.enabled else 0.0
+        self.sql_round_trips += 1
+        records = [decode_object_lazy(data) for (data,) in self._execute(
+            "SELECT data FROM objects WHERE oid % ? = ? ORDER BY rowid",
+            (lanes, lane))]
+        self.object_accesses += len(records)
+        self.decodes_avoided += len(records)
+        if trace.enabled:
+            trace.emit("sqlite.scan", time.perf_counter() - started,
+                       lanes=lanes, lane=lane, records=len(records))
         return records
 
     def write_object(self, record: StoredObject) -> None:

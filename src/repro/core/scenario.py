@@ -134,9 +134,6 @@ STREAM_WORKLOAD = 0x0CB0_0001
 STREAM_GENERIC = 0x0CB0_00FF
 STREAM_SCENARIO = 0x0CB0_05CE
 
-#: Chunk size for sequential-scan prefetches (bounds cache growth).
-_SCAN_BATCH = 256
-
 TRANSACTION_CLASSES = ("set", "simple", "hierarchy", "stochastic")
 OPERATION_CLASSES = ("insert", "update", "delete", "range_lookup",
                      "sequential_scan", "structure_traversal")
@@ -331,6 +328,9 @@ class WorkloadMix:
     #: ``draw_spec`` thresholds even when float summation leaves the
     #: total one ulp off 1.0.  Set by :meth:`from_workload_parameters`.
     unit_weights: bool = False
+    #: Sum of entry weights, in entry order (the draw denominator),
+    #: computed once at construction.
+    total_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple(
@@ -342,15 +342,12 @@ class WorkloadMix:
         if self.think_time < 0.0:
             raise ParameterError(
                 f"think_time must be >= 0, got {self.think_time}")
+        object.__setattr__(self, "total_weight",
+                           sum(entry.weight for entry in entries))
         if self.total_weight <= 0.0:
             raise ParameterError("mix weights must sum to > 0")
 
     # -- structural properties ------------------------------------------ #
-
-    @property
-    def total_weight(self) -> float:
-        """Sum of entry weights, in entry order (draw denominator)."""
-        return sum(entry.weight for entry in self.entries)
 
     @property
     def mutates(self) -> bool:
@@ -1342,18 +1339,10 @@ class ClientExecutor:
 
     def op_sequential_scan(self) -> OperationResult:
         """Visit every owned object in physical order."""
-        def body() -> int:
-            order = self.session.current_order()
-            if self.partitioned:
-                lanes, lane = self.total_clients, self.client_id
-                order = [oid for oid in order if oid % lanes == lane]
-            for start in range(0, len(order), _SCAN_BATCH):
-                chunk = order[start:start + _SCAN_BATCH]
-                self.session.prefetch(chunk)
-                for scanned in chunk:
-                    self.session.touch(scanned)
-            return len(order)
-        return self._timed(GenericOperation.SEQUENTIAL_SCAN, body)
+        lanes, lane = (self.total_clients, self.client_id) \
+            if self.partitioned else (1, 0)
+        return self._timed(GenericOperation.SEQUENTIAL_SCAN,
+                           lambda: self.session.scan(lanes, lane))
 
     def op_structure_traversal(self, entry: MixEntry) -> OperationResult:
         """BFS from a DIST5 root through the link structure, zero decode.

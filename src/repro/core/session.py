@@ -18,6 +18,9 @@ used to wire up separately:
   Batching only activates when the engine declares
   ``supports_batched_reads``, so cost-model engines keep bit-identical
   per-object accounting;
+* **sequential scans** — :meth:`scan` hands a whole (partition of the)
+  extent to the engine's :meth:`~repro.backends.base.Backend.scan`,
+  one filtered physical-order pass on SQLite;
 * **metrics charging** — :meth:`measure` snapshots the engine around a
   transaction and yields the ``(delta, wall seconds)`` pair every
   collector consumes; :meth:`charge_think_time` advances the simulated
@@ -214,8 +217,8 @@ class Session:
               ) -> StoredObject:
         """Read one object with an untyped policy observation.
 
-        The generic operations' access path: range lookups and
-        sequential scans cross no reference slot, so the policy sees a
+        The range lookups' access path: a lookup crosses no reference
+        slot, so the policy sees a
         ``None`` reference type.  Like :meth:`access`, a prefetched
         record is consumed by its first serve.
         """
@@ -224,6 +227,22 @@ class Session:
             record = self.store.read_object(oid)
         self.policy.observe_access(source_oid, oid, None)
         return record
+
+    def scan(self, lanes: int = 1, lane: int = 0) -> int:
+        """Read every object with ``oid % lanes == lane`` in physical
+        order; returns the number read.
+
+        The engine's :meth:`~repro.backends.base.Backend.scan` does the
+        reading (one filtered pass on SQLite, a per-object read loop on
+        cost-model engines); the policy then observes each record,
+        untyped and in order, exactly like a :meth:`touch` loop.  The
+        prefetch cache is neither consulted nor filled.
+        """
+        observe = self.policy.observe_access
+        records = self.store.scan(lanes, lane)
+        for record in records:
+            observe(None, record.oid, None)
+        return len(records)
 
     def prefetch(self, oids: Iterable[int]) -> int:
         """Batch-fetch *oids* into the record cache.
@@ -236,7 +255,7 @@ class Session:
         one-element ``IN`` query costs more than a point query).
 
         Each cached record is consumed by its first :meth:`access` /
-        :meth:`touch`, so the cache holds one frontier or scan chunk,
+        :meth:`touch`, so the cache holds one frontier or match set,
         or, under a depth-first walk, the pending siblings of each node
         on the current path (bounded by depth × fan-out).  Note that
         engine-side *physical* counters

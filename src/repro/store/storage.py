@@ -544,6 +544,12 @@ class ObjectStore:
         """Object ids sorted by physical position."""
         return sorted(self._directory, key=lambda oid: self._directory[oid][0])
 
+    def scan(self, lanes: int = 1, lane: int = 0) -> List[StoredObject]:
+        """Every object with ``oid % lanes == lane``, read one by one in
+        physical order (the :meth:`Backend.scan` read-loop contract)."""
+        return [self.read_object(oid) for oid in self.current_order()
+                if oid % lanes == lane]
+
     def iter_oids(self) -> Iterator[int]:
         """Iterate over stored object ids (unspecified order)."""
         return iter(self._directory)

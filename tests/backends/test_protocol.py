@@ -7,6 +7,7 @@ import pytest
 from repro.backends import SimulatedBackend
 from repro.errors import StorageError, UnknownObject
 from repro.store.serializer import StoredObject
+from repro.store.storage import StoreConfig
 
 
 def make_records(count, cid=1, filler=20):
@@ -219,6 +220,77 @@ class TestSQLiteBatching:
         backend.reset_stats()
         assert backend.sql_round_trips == 0
         backend.close()
+
+
+
+def lane_reads(backend, lanes, lane):
+    """The scan contract spelled out as point reads."""
+    return [backend.read_object(oid) for oid in backend.current_order()
+            if oid % lanes == lane]
+
+
+class TestScan:
+    """``scan`` is one lane of the extent in physical order, everywhere."""
+
+    def assert_scans_match_point_reads(self, backend):
+        for lanes in (1, 2, 3):
+            for lane in range(lanes):
+                expected = lane_reads(backend, lanes, lane)
+                scanned = backend.scan(lanes, lane)
+                assert [r.oid for r in scanned] == \
+                    [r.oid for r in expected]
+                assert scanned == expected
+
+    def test_matches_point_reads(self, loaded_backend):
+        self.assert_scans_match_point_reads(loaded_backend)
+
+    def test_matches_point_reads_after_mutations(self, loaded_backend,
+                                                 small_database):
+        oids = sorted(small_database.objects)
+        top = max(oids)
+        for offset in (1, 2, 5):
+            loaded_backend.insert_object(StoredObject(
+                oid=top + offset, cid=1, refs=(oids[0], None), filler=8))
+        for victim in (oids[0], oids[7], top + 2):
+            loaded_backend.delete_object(victim)
+        self.assert_scans_match_point_reads(loaded_backend)
+
+    def test_matches_point_reads_after_reorganize(self, small_database):
+        backend = SimulatedBackend(
+            store_config=StoreConfig(page_size=512, buffer_pages=16))
+        records = small_database.to_records()
+        backend.bulk_load(records.values(), order=sorted(records))
+        shuffled = sorted(records, key=lambda oid: (oid * 7919) % 301)
+        backend.reorganize(shuffled)
+        assert backend.current_order() == shuffled
+        self.assert_scans_match_point_reads(backend)
+
+    def test_counts_one_access_per_record(self, loaded_backend):
+        before = loaded_backend.counters()
+        scanned = loaded_backend.scan(2, 1)
+        after = loaded_backend.counters()
+        assert scanned
+        assert after.object_accesses - before.object_accesses == \
+            len(scanned)
+        assert after.records_decoded == before.records_decoded
+        if loaded_backend.name in ("sqlite", "sharded-sqlite"):
+            assert after.decodes_avoided - before.decodes_avoided == \
+                len(scanned)
+
+    def test_round_trips(self, loaded_backend):
+        """One statement on SQLite, one per shard on the sharded engine,
+        none on engines without SQL."""
+        expected = {"sqlite": 1,
+                    "sharded-sqlite": getattr(loaded_backend, "shards", 0)}
+        for lanes, lane in ((1, 0), (2, 1), (3, 2)):
+            before = loaded_backend.counters().sql_round_trips
+            loaded_backend.scan(lanes, lane)
+            assert loaded_backend.counters().sql_round_trips - before == \
+                expected.get(loaded_backend.name, 0)
+
+    def test_empty_engine(self, backend):
+        assert backend.scan() == []
+        assert backend.scan(2, 1) == []
 
 
 class TestTraverseRefs:

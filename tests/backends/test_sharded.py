@@ -81,6 +81,16 @@ class TestAffinityAccounting:
         assert backend.remote_reads == 4
         backend.close()
 
+    def test_scan_records_off_home_are_remote(self):
+        backend = ShardedSQLiteBackend(shards=4, home_shard=1)
+        loaded(backend, count=10)
+        # Lane 1 of 2 is the odd oids: shard 1 holds {1, 5, 9} (home),
+        # shard 3 holds {3, 7}.
+        scanned = backend.scan(2, 1)
+        assert [r.oid for r in scanned] == [1, 3, 5, 7, 9]
+        assert backend.remote_reads == 2
+        backend.close()
+
     def test_writes_off_home_are_remote(self):
         backend = ShardedSQLiteBackend(shards=4, home_shard=1)
         records = loaded(backend, count=10)

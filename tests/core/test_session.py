@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.backends import MemoryBackend, SQLiteBackend, SimulatedBackend
+from repro.clustering.base import NoClustering
+from repro.core.presets import scenario_preset
+from repro.core.scenario import ScenarioCollector, ScenarioRunner
 from repro.core.session import Session
 from repro.core.transactions import AccessContext
 from repro.errors import BackendError, WorkloadError
@@ -152,6 +157,101 @@ class TestBatching:
         session.write_record(changed)
         assert session.access(oid) == changed
         session.close()
+
+
+
+class RecordingPolicy(NoClustering):
+    """Logs every observation the session hands the policy."""
+
+    def __init__(self):
+        self.seen = []
+
+    def observe_access(self, source, target, ref_type=None):
+        self.seen.append((source, target, ref_type))
+
+
+class OpLog(ScenarioCollector):
+    """A collector that also logs each op's logical outcome, in order."""
+
+    def __init__(self, phase_name):
+        super().__init__(phase_name)
+        self.log = []
+
+    def record_transaction(self, result, delta, wall_seconds, retries=0):
+        super().record_transaction(result, delta, wall_seconds, retries)
+        self.log.append((result.kind.value, result.visits))
+
+    def record_operation(self, result, retries=0):
+        super().record_operation(result, retries)
+        self.log.append((result.operation.value, result.objects_touched))
+
+
+def oltp_op_log(database, backend, **options):
+    """Op-for-op outcomes of a 2-client partitioned ``mixed_oltp`` run."""
+    scenario = replace(scenario_preset("mixed_oltp"), clients=2,
+                       backend=backend, backend_options=options, seed=7)
+    assert scenario.partitioned
+    runner = ScenarioRunner(database, scenario)
+    engine = runner._resolve_engine()
+    executors = runner.build_executors(engine)
+    logs = [OpLog("warm") for _ in executors]
+    for _ in range(60):
+        for executor, log in zip(executors, logs):
+            executor.step(log)
+    engine.close()
+    return [log.log for log in logs]
+
+
+class TestScan:
+    def scan_engines(self, database, store):
+        """SQLite, plus both cost-model surfaces reorganized out of oid
+        order so physical order is not oid order."""
+        records = database.to_records()
+        simulated = SimulatedBackend(
+            store_config=StoreConfig(page_size=512, buffer_pages=16))
+        simulated.bulk_load(records.values(), order=sorted(records))
+        for engine in (simulated, store):
+            engine.reorganize(sorted(records, reverse=True))
+        return {"sqlite": loaded_sqlite(database), "classic": store,
+                "simulated": simulated}
+
+    def test_policy_sees_each_record_in_physical_order(self, small_database,
+                                                      loaded_store):
+        for name, engine in self.scan_engines(small_database,
+                                              loaded_store).items():
+            policy = RecordingPolicy()
+            session = Session(engine, policy=policy)
+            expected = [oid for oid in engine.current_order()
+                        if oid % 2 == 1]
+            assert session.scan(2, 1) == len(expected), name
+            assert policy.seen == [(None, oid, None) for oid in expected], \
+                name
+
+    def test_whole_extent_by_default(self, small_database):
+        session = Session(loaded_sqlite(small_database))
+        assert session.scan() == small_database.num_objects
+        session.close()
+
+    def test_prefetch_cache_stays_empty(self, small_database):
+        backend = loaded_sqlite(small_database)
+        session = Session(backend)
+        assert session.batch_reads
+        session.scan(3, 0)
+        assert not session._prefetched
+        assert backend.sql_round_trips == 1
+        session.close()
+
+    def test_partitioned_oltp_matches_memory(self, small_database,
+                                             tmp_path):
+        """File-backed SQLite's engine-side lane filter touches exactly
+        what the memory engine's read loop touches, op for op."""
+        on_sqlite = oltp_op_log(small_database, "sqlite",
+                                path=str(tmp_path / "oltp.db"))
+        on_memory = oltp_op_log(small_database, "memory")
+        scans = [outcome for log in on_memory for outcome in log
+                 if outcome[0] == "sequential_scan"]
+        assert scans
+        assert on_sqlite == on_memory
 
 
 class TestMetricsCharging:
